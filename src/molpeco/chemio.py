@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -46,7 +47,7 @@ class Atom:
     def __post_init__(self) -> None:
         if self.atomic_number < 1:
             raise DataError(f"atomic number must be >= 1, got {self.atomic_number}")
-        if len(self.position) != 3 or not all(np.isfinite(c) for c in self.position):
+        if len(self.position) != 3 or not all(math.isfinite(c) for c in self.position):
             raise DataError(f"atom position must be a finite 3-vector, got {self.position}")
 
 
@@ -177,7 +178,7 @@ def _atom_from_record(entry, mol_id: str, line_no: int) -> Atom:
         position = (float(x), float(y), float(z))
     except (TypeError, ValueError):
         raise ParseError(f"line {line_no}: non-numeric coordinates in molecule '{mol_id}'")
-    if not all(np.isfinite(position)):
+    if not all(math.isfinite(c) for c in position):
         raise ParseError(f"line {line_no}: non-finite coordinates in molecule '{mol_id}'")
     return Atom(atomic_number, position)
 

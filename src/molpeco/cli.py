@@ -128,7 +128,7 @@ def cmd_train(config: RunConfig) -> int:
     print(f"best epoch {result.best_epoch}: val_loss={result.best_val_loss!r} "
           f"val_auroc={best_auroc!r} [config {config.config_hash()}]")
     if result.diverged:
-        raise NumericError("training diverged (NaN loss); "
+        raise NumericError("training diverged (non-finite loss or gradient); "
                            "last good checkpoint retained")
     return 0
 

@@ -35,7 +35,8 @@ class NumericError(MolpecoError):
 
 
 class ConvergenceError(NumericError):
-    """Iterative algorithm exceeded its iteration budget."""
+    """An iterative solver (LAPACK's symmetric eigensolver) did not
+    converge."""
 
 
 class UndefinedMetricError(MolpecoError):

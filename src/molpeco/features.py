@@ -1,10 +1,10 @@
 """Per-molecule matrix representations and their spectral decomposition.
 
 Covers the adjacency matrix, the Coulomb matrix with Frobenius / minmax
-normalization, weighted graph Laplacians, a cyclic-Jacobi eigensolver with
-deterministic sign conventions, and the positional-encoding input built
-from the lowest spectral pairs. Also owns the binary featurization cache
-(magic "MPEC0001") written by the CLI.
+normalization, weighted graph Laplacians, a LAPACK symmetric eigensolver
+with deterministic sign conventions, and the positional-encoding input
+built from the lowest spectral pairs. Also owns the binary featurization
+cache (magic "MPEC0001") written by the CLI.
 """
 
 from __future__ import annotations
@@ -81,20 +81,18 @@ def coulomb_matrix(mol: Molecule) -> np.ndarray:
     """
     z = mol.atomic_numbers().astype(np.float64)
     coords = mol.coordinates()
-    n = mol.num_atoms
-    c = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        c[i, i] = 0.5 * z[i] ** 2.4
-        for j in range(i + 1, n):
-            dist_ang = float(np.sqrt(np.sum((coords[i] - coords[j]) ** 2)))
-            if dist_ang < MIN_ATOM_DISTANCE:
-                raise GeometryError(
-                    f"molecule '{mol.id}': atoms {i} and {j} are "
-                    f"{dist_ang:.2e} Angstrom apart (degenerate geometry)"
-                )
-            value = z[i] * z[j] / (dist_ang * BOHR_PER_ANGSTROM)
-            c[i, j] = value
-            c[j, i] = value
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist_ang = np.sqrt(np.sum(diff * diff, axis=-1))
+    close = np.argwhere(np.triu(dist_ang < MIN_ATOM_DISTANCE, k=1))
+    if close.size:
+        i, j = (int(k) for k in close[0])
+        raise GeometryError(
+            f"molecule '{mol.id}': atoms {i} and {j} are "
+            f"{dist_ang[i, j]:.2e} Angstrom apart (degenerate geometry)"
+        )
+    np.fill_diagonal(dist_ang, 1.0)
+    c = np.outer(z, z) / (dist_ang * BOHR_PER_ANGSTROM)
+    np.fill_diagonal(c, 0.5 * z ** 2.4)
     return c
 
 
@@ -172,8 +170,8 @@ def sym_normalized_laplacian(x: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * lap * inv_sqrt[None, :]
 
 
-def asym_normalized_laplacian(x: np.ndarray) -> tuple[np.ndarray, Spectrum]:
-    """Random-walk Laplacian D^{-1} (D - X) and its spectrum.
+def asym_normalized_laplacian(x: np.ndarray) -> Spectrum:
+    """Spectrum of the random-walk Laplacian D^{-1} (D - X).
 
     The random-walk Laplacian is similar to the symmetric one, so its
     eigenvalues are taken from the symmetric decomposition and its
@@ -182,14 +180,12 @@ def asym_normalized_laplacian(x: np.ndarray) -> tuple[np.ndarray, Spectrum]:
     """
     _check_symmetric(x, 1e-10, "weight matrix")
     degrees = _degrees_checked(x)
-    lap = laplacian(x)
-    l_rw = lap / degrees[:, None]
     sym_spec = eig_symmetric(sym_normalized_laplacian(x))
     vectors = sym_spec.eigenvectors / np.sqrt(degrees)[:, None]
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     vectors = _fix_signs(vectors)
     vectors.flags.writeable = False
-    return l_rw, Spectrum(sym_spec.eigenvalues, vectors)
+    return Spectrum(sym_spec.eigenvalues, vectors)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -203,61 +199,20 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def eig_symmetric(mat: np.ndarray, max_sweeps: int = 100,
-                  tol: float = 1e-12) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi
-    rotations.
+def eig_symmetric(mat: np.ndarray) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by LAPACK
+    (``numpy.linalg.eigh``).
 
-    Sweeps stop once the off-diagonal Frobenius norm drops below
-    ``tol`` relative to the matrix norm. Eigenvalues come back ascending
-    with orthonormal, sign-fixed eigenvector columns.
+    Eigenvalues come back ascending with orthonormal, sign-fixed
+    eigenvector columns. A LAPACK failure (for example on a NaN input)
+    raises ConvergenceError.
     """
     _check_symmetric(mat, 1e-10, "eigensolver input")
-    n = mat.shape[0]
     a = 0.5 * (mat + mat.T)  # exact symmetrization of the tolerated asymmetry
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(a)))
-
-    def off_norm(m: np.ndarray) -> float:
-        off = m - np.diag(np.diag(m))
-        return float(np.linalg.norm(off))
-
-    sweeps = 0
-    while off_norm(a) > tol * scale:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {off_norm(a):.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-        sweeps += 1
-
-    eigenvalues = np.diag(a).copy()
+    try:
+        eigenvalues, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = _fix_signs(v[:, order])
@@ -322,7 +277,7 @@ def featurize_molecule(mol: Molecule, variant: str,
     if variant == "mol-peco-sym":
         spectrum = eig_symmetric(sym_normalized_laplacian(matrix))
     else:
-        _, spectrum = asym_normalized_laplacian(matrix)
+        spectrum = asym_normalized_laplacian(matrix)
     return MolFeatures(mol.id, variant, z, matrix, spectrum)
 
 

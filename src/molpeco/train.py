@@ -92,13 +92,16 @@ class Adam:
             p.tensor.grad = None
 
     def step(self) -> None:
+        """One update of every parameter that has a gradient. A NaN or
+        infinite gradient raises NumericError before any parameter moves."""
+        for p in self.params:
+            if p.tensor.grad is not None and not np.all(np.isfinite(p.tensor.grad)):
+                raise NumericError(f"non-finite gradient in parameter '{p.name}'")
         self.t += 1
         for i, p in enumerate(self.params):
             grad = p.tensor.grad
             if grad is None:
                 continue
-            if np.any(np.isnan(grad)):
-                raise NumericError(f"NaN gradient in parameter '{p.name}'")
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad * grad
             m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
@@ -178,7 +181,8 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
     Each epoch shuffles the training split with a seeded generator, then
     logs train loss, validation loss, and unweighted validation macro
     AUROC. Stops early after ``patience`` epochs without improvement and
-    aborts (keeping the best checkpoint) if the loss turns NaN.
+    aborts (keeping the best checkpoint) if the loss or a gradient turns
+    non-finite.
     """
     if not split.train or not split.val:
         raise DataError("train and validation splits must be non-empty")
@@ -215,7 +219,11 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
                 break
             epoch_loss_sum += total.item() * len(batch)
             ad.backward(total)
-            optimizer.step()
+            try:
+                optimizer.step()
+            except NumericError:
+                diverged = True
+                break
         if diverged:
             result.diverged = True
             break

@@ -40,6 +40,37 @@ def random_molecule(rng: np.random.Generator, mol_id: str, n_atoms: int | None =
     return Molecule(mol_id, atoms, bonds, frozenset(labels))
 
 
+def organic_molecule(rng: np.random.Generator, mol_id: str, n_atoms: int) -> Molecule:
+    """An odorant-sized molecule: a random tree of C/N/O/S heavy atoms
+    (about 40% of the atoms, bonds of 1.5 Angstrom, at least 1.25 apart)
+    with hydrogens at 1.09 Angstrom (at least 0.9 from every atom), and
+    its bond list."""
+    heavy = max(3, int(round(0.4 * n_atoms)))
+    z = [int(e) for e in rng.choice((6, 6, 6, 7, 8, 16), size=heavy)]
+    coords = [np.zeros(3)]
+    bonds = []
+
+    def place(anchors, length, min_dist):
+        """Bond a new atom to a random anchor; a crowded anchor is redrawn."""
+        while True:
+            anchor = int(rng.integers(anchors))
+            step = rng.normal(size=3)
+            candidate = coords[anchor] + length * step / np.linalg.norm(step)
+            if np.min(np.linalg.norm(np.asarray(coords) - candidate, axis=1)) >= min_dist:
+                coords.append(candidate)
+                bonds.append((anchor, len(coords) - 1))
+                return
+
+    for _ in range(1, heavy):
+        place(len(coords), 1.5, 1.25)
+    while len(coords) < n_atoms:
+        z.append(1)
+        place(heavy, 1.09, 0.9)
+    atoms = tuple(Atom(z[k], tuple(float(c) for c in np.round(coords[k], 4)))
+                  for k in range(n_atoms))
+    return Molecule(mol_id, atoms, tuple(bonds))
+
+
 def structure_labeled_set(rng: np.random.Generator, count: int = 20) -> Dataset:
     """Molecules whose labels are pure functions of their structure:
     element presence, size, and spatial extent.

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from molpeco import train
+from molpeco.checkpoints import load_checkpoint
 from molpeco.chemio import serialize_molecules
 from molpeco.cli import cosine_similarity, main, read_embeddings, retrieve_neighbors
 
@@ -167,6 +169,32 @@ class TestExitCodes:
         assert run_cli("train", "--config", config_path) == 4
         # last good checkpoint is still written
         assert (tmp_path / "out" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_keeps_best_checkpoint(self, workspace, monkeypatch, bad):
+        tmp_path, _, config = workspace
+        config = dict(config, max_epochs=3)
+        config_path = tmp_path / "bad_grad.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("featurize", "--config", config_path) == 0
+        assert run_cli("split", "--config", config_path) == 0
+        train_size = len(json.loads((tmp_path / "split.json").read_text())["train"])
+        steps_per_epoch = -(-train_size // config["batch_size"])
+        real_step = train.Adam.step
+
+        def poisoned_step(self):
+            # the first step of epoch 2 sees a non-finite gradient
+            if self.t == steps_per_epoch:
+                self.params[0].tensor.grad = np.full_like(self.params[0].tensor.values,
+                                                          bad)
+            real_step(self)
+
+        monkeypatch.setattr(train.Adam, "step", poisoned_step)
+        assert run_cli("train", "--config", config_path) == 4
+        metadata, _ = load_checkpoint(tmp_path / "out" / "checkpoint.bin")
+        assert metadata["diverged"] is True
+        assert metadata["epoch"] == 1
+        assert (tmp_path / "out" / "history.csv").exists()
 
     def test_unknown_retrieve_id(self, workspace):
         tmp_path, config_path, _ = workspace

@@ -16,6 +16,7 @@ from molpeco.errors import ConvergenceError, DataError, GeometryError
 from molpeco.features import (
     BOHR_PER_ANGSTROM,
     LPEInput,
+    MIN_ATOM_DISTANCE,
     MolFeatures,
     adjacency_matrix,
     asym_normalized_laplacian,
@@ -32,7 +33,7 @@ from molpeco.features import (
     write_feature_cache,
 )
 
-from synthdata import random_molecule
+from synthdata import organic_molecule, random_molecule
 
 # 0.5 * 6^2.4 evaluated at 50 decimal digits, frozen
 CARBON_DIAGONAL = 36.85810519942595
@@ -58,6 +59,33 @@ def coulomb_oracle(z_list, coords):
                 dist = math.sqrt(dx * dx + dy * dy + dz * dz) * BOHR_PER_ANGSTROM
                 out[i][j] = z_list[i] * z_list[j] / dist
     return np.array(out)
+
+
+def random_walk_laplacian(x):
+    """D^{-1} (D - X), built independently of the spectrum under test."""
+    return laplacian(x) / x.sum(axis=1)[:, None]
+
+
+def coulomb_loop_reference(mol):
+    """The Coulomb matrix by a per-pair double loop with the same float
+    operations as the broadcast version, so results must be bit-equal;
+    raises on the first (i < j, row-major) pair closer than
+    MIN_ATOM_DISTANCE."""
+    z = mol.atomic_numbers().astype(np.float64)
+    coords = mol.coordinates()
+    n = mol.num_atoms
+    c = np.zeros((n, n))
+    for i in range(n):
+        c[i, i] = 0.5 * z[i] ** 2.4
+        for j in range(i + 1, n):
+            dist_ang = float(np.sqrt(np.sum((coords[i] - coords[j]) ** 2)))
+            if dist_ang < MIN_ATOM_DISTANCE:
+                raise GeometryError(
+                    f"molecule '{mol.id}': atoms {i} and {j} are "
+                    f"{dist_ang:.2e} Angstrom apart (degenerate geometry)"
+                )
+            c[i, j] = c[j, i] = z[i] * z[j] / (dist_ang * BOHR_PER_ANGSTROM)
+    return c
 
 
 def random_weight_matrix(rng, n):
@@ -143,6 +171,40 @@ class TestCoulombMatrix:
         mol = mol_from([1, 1], [(0, 0, 0), (0, 0, 1e-8)])
         with pytest.raises(GeometryError):
             coulomb_matrix(mol)
+
+    def test_real_size_exactly_symmetric_and_bit_equal_to_loop(self):
+        rng = np.random.default_rng(24)
+        for n in (40, 60):
+            mol = organic_molecule(rng, "m", n)
+            c = coulomb_matrix(mol)
+            assert np.array_equal(c, c.T)
+            assert np.array_equal(c, coulomb_loop_reference(mol))
+
+    def test_real_size_permutation_bit_equal(self):
+        rng = np.random.default_rng(25)
+        for n in (45, 60):
+            mol = organic_molecule(rng, "m", n)
+            c = coulomb_matrix(mol)
+            perm = rng.permutation(n)
+            permuted = mol_from(mol.atomic_numbers()[perm].tolist(),
+                                mol.coordinates()[perm].tolist())
+            inverse = np.argsort(perm)
+            assert np.array_equal(coulomb_matrix(permuted)[np.ix_(inverse, inverse)], c)
+
+    def test_real_size_first_close_pair_named(self):
+        rng = np.random.default_rng(26)
+        mol = organic_molecule(rng, "m", 50)
+        coords = mol.coordinates()
+        # three coincident pairs; the row-major first one must be named
+        for src, dst in ((41, 7), (30, 12), (44, 25)):
+            coords[src] = coords[dst] + 1e-8
+        broken = mol_from(mol.atomic_numbers().tolist(), coords.tolist(), mol_id="bad")
+        with pytest.raises(GeometryError) as expected:
+            coulomb_loop_reference(broken)
+        with pytest.raises(GeometryError) as got:
+            coulomb_matrix(broken)
+        assert str(got.value) == str(expected.value)
+        assert "'bad': atoms 7 and 41 are" in str(got.value)
 
 
 class TestNormalizations:
@@ -273,14 +335,16 @@ class TestLaplacians:
 class TestAsymLaplacian:
     def test_equal_degrees_match_symmetric(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
-        l_rw, _ = asym_normalized_laplacian(x)
+        l_rw = random_walk_laplacian(x)
         np.testing.assert_allclose(l_rw, [[1.0, -1.0], [-1.0, 1.0]], rtol=0, atol=1e-15)
+        spec = asym_normalized_laplacian(x)
+        np.testing.assert_allclose(spec.eigenvalues, [0.0, 2.0], rtol=0, atol=1e-15)
 
     def test_eigenvalues_match_symmetric(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             x = random_weight_matrix(rng, int(rng.integers(2, 12)))
-            _, spec_rw = asym_normalized_laplacian(x)
+            spec_rw = asym_normalized_laplacian(x)
             spec_sym = eig_symmetric(sym_normalized_laplacian(x))
             np.testing.assert_allclose(spec_rw.eigenvalues, spec_sym.eigenvalues,
                                        rtol=0, atol=1e-8)
@@ -290,7 +354,8 @@ class TestAsymLaplacian:
         for i in range(20):
             mol = random_molecule(rng, f"m{i}")
             x = coulomb_matrix(mol)
-            l_rw, spec = asym_normalized_laplacian(x)
+            l_rw = random_walk_laplacian(x)
+            spec = asym_normalized_laplacian(x)
             residual = l_rw @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
             assert np.max(np.abs(residual)) <= 1e-8 * max(1.0, np.linalg.norm(l_rw))
 
@@ -346,12 +411,30 @@ class TestEigSymmetric:
         with pytest.raises(DataError, match="symmetric"):
             eig_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-    def test_convergence_budget_respected(self):
-        rng = np.random.default_rng(16)
-        a = rng.normal(size=(6, 6))
-        a = 0.5 * (a + a.T)
-        with pytest.raises(ConvergenceError):
-            eig_symmetric(a, max_sweeps=0)
+    def test_lapack_failure_is_convergence_error(self):
+        # NaN entries pass the symmetry guard (NaN > tol is False) and make
+        # LAPACK report non-convergence
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eig_symmetric(np.full((4, 4), np.nan))
+
+    def test_real_size_matches_lapack_eigvalsh(self):
+        rng = np.random.default_rng(22)
+        for n in (40, 52, 60):
+            x = normalize_frobenius(coulomb_matrix(organic_molecule(rng, "m", n)))
+            lap = sym_normalized_laplacian(x)
+            spec = eig_symmetric(lap)
+            np.testing.assert_allclose(
+                spec.eigenvalues, np.linalg.eigvalsh(lap),
+                rtol=0, atol=1e-12 * max(1.0, float(np.linalg.norm(lap))))
+
+    def test_real_size_random_walk_residual(self):
+        rng = np.random.default_rng(23)
+        for n in (40, 52, 60):
+            x = normalize_frobenius(coulomb_matrix(organic_molecule(rng, "m", n)))
+            l_rw = random_walk_laplacian(x)
+            spec = asym_normalized_laplacian(x)
+            residual = l_rw @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
+            assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.linalg.norm(l_rw))
 
 
 class TestLPEInput:

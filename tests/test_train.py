@@ -113,6 +113,18 @@ class TestAdam:
         with pytest.raises(NumericError, match="'w'"):
             Adam([p]).step()
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_gradient_aborts_before_any_update(self, bad):
+        good = Parameter("a", Tensor(np.array([1.0]), requires_grad=True))
+        p = self._param([1.0, 2.0])
+        good.tensor.grad = np.array([0.5])
+        p.tensor.grad = np.array([0.0, bad])
+        opt = Adam([good, p], lr=0.1)
+        with pytest.raises(NumericError, match="'w'"):
+            opt.step()
+        assert opt.t == 0
+        assert good.tensor.values[0] == 1.0
+
 
 class TestTrainLoop:
     def _setup(self, seed=0):
