@@ -29,7 +29,6 @@ from .features import (
     adjacency_matrix,
     asym_normalized_laplacian,
     coulomb_matrix,
-    degree_matrix,
     eig_symmetric,
     featurize_molecule,
     laplacian,
@@ -48,7 +47,7 @@ __all__ = [
     "merge_duplicates", "parse_molecules", "serialize_molecules",
     "stratified_split",
     "MolFeatures", "Spectrum", "adjacency_matrix", "asym_normalized_laplacian",
-    "coulomb_matrix", "degree_matrix", "eig_symmetric", "featurize_molecule",
+    "coulomb_matrix", "eig_symmetric", "featurize_molecule",
     "laplacian", "lpe_input", "normalize_frobenius", "normalize_minmax",
     "sym_normalized_laplacian",
     "EvalReport", "confusion_metrics", "pr_auc", "roc_auc",

@@ -209,12 +209,13 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def sum_rows_exact(a: Tensor) -> Tensor:
-    """Column sums over the second-last axis using exactly rounded
-    accumulation, so the result is independent of row order."""
+    """Column sums over the rows of a 2D tensor, each column summed in
+    sorted order, so the result is order-independent: bit-identical under
+    any reordering of the rows."""
     av = a.values
     if av.ndim != 2:
         raise ShapeError(f"sum_rows_exact expects a 2D tensor, got {av.shape}")
-    out = np.array([[math.fsum(av[:, j]) for j in range(av.shape[1])]])
+    out = np.sort(av, axis=0).sum(axis=0, keepdims=True)
 
     def grad_fn(g):
         return (np.broadcast_to(g, av.shape).copy(),)
@@ -277,22 +278,15 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), grad_fn, "sigmoid")
 
 
-def clip_open_unit(a: Tensor) -> Tensor:
-    """Clamp values into the open interval (0, 1) at float64 resolution.
-
-    Guards probability outputs against saturating to exactly 0 or 1. Where
-    the clamp engages the gradient is zeroed, like any clamp; elsewhere it
-    passes through. This also stops inf * 0 NaNs that a downstream
-    1/p-style gradient would otherwise produce against a saturated
-    sigmoid.
-    """
-    lo = np.nextafter(0.0, 1.0)
-    hi = np.nextafter(1.0, 0.0)
-    inside = (a.values > lo) & (a.values < hi)
+def log_sigmoid(a: Tensor) -> Tensor:
+    """log(sigmoid(z)) = min(z, 0) - log1p(exp(-|z|)), finite for every
+    finite z. Its derivative sigmoid(-z) = exp(out - z) lies in [0, 1]."""
+    av = a.values
+    out = np.minimum(av, 0.0) - np.log1p(np.exp(-np.abs(av)))
 
     def grad_fn(g):
-        return (np.where(inside, g, 0.0),)
-    return _node(np.clip(a.values, lo, hi), (a,), grad_fn, "clip_open_unit")
+        return (g * np.exp(out - av),)
+    return _node(out, (a,), grad_fn, "log_sigmoid")
 
 
 def softmax_last(a: Tensor) -> Tensor:
@@ -344,25 +338,22 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    # transient infs (e.g. a 1/p gradient against a clamped probability)
-    # are legitimate here; they get masked before reaching any leaf
-    with np.errstate(over="ignore", divide="ignore"):
-        for node in reversed(order):
-            g = acc.pop(id(node), None)
-            if g is None:
+    for node in reversed(order):
+        g = acc.pop(id(node), None)
+        if g is None:
+            continue
+        if node.grad_fn is None:
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        for parent, pg in zip(node.parents, node.grad_fn(g)):
+            if not parent.requires_grad or pg is None:
                 continue
-            if node.grad_fn is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
-                continue
-            for parent, pg in zip(node.parents, node.grad_fn(g)):
-                if not parent.requires_grad or pg is None:
-                    continue
-                key = id(parent)
-                if key in acc:
-                    acc[key] = acc[key] + pg
-                else:
-                    acc[key] = pg
+            key = id(parent)
+            if key in acc:
+                acc[key] = acc[key] + pg
+            else:
+                acc[key] = pg
 
 
 # ---------------------------------------------------------------------------

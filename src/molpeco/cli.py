@@ -13,7 +13,7 @@ import argparse
 import csv
 import hashlib
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,8 +113,8 @@ def cmd_train(config: RunConfig) -> int:
     out = _out_dir(config)
     metadata = {
         "config_hash": config.config_hash(),
-        "model_config": model_cfg.to_dict(),
-        "train_config": config.train_config().to_dict(),
+        "model_config": asdict(model_cfg),
+        "train_config": asdict(config.train_config()),
         "epoch": result.best_epoch,
         "val_loss": result.best_val_loss,
         "descriptors": list(ds.vocabulary.descriptors),
@@ -288,15 +288,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--patience", type=int, dest="patience")
 
 
-_OVERRIDE_FIELDS = ("data_path", "cache_path", "split_path", "out_dir", "seed",
-                    "variant", "cm_normalization", "p", "min_label_count",
-                    "drop_zero_label", "learning_rate", "batch_size",
-                    "max_epochs", "patience")
-
-
 def _resolve_config(args) -> RunConfig:
+    """The configuration file (or the defaults), overridden by every parsed
+    flag whose destination names a ``RunConfig`` field."""
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {name: getattr(args, name, None) for name in _OVERRIDE_FIELDS}
+    names = {f.name for f in fields(RunConfig)}
+    overrides = {name: value for name, value in vars(args).items() if name in names}
     return apply_overrides(config, overrides)
 
 

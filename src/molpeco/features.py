@@ -125,12 +125,6 @@ def _check_symmetric(x: np.ndarray, tol: float, what: str) -> None:
         raise DataError(f"{what} must be symmetric within {tol}")
 
 
-def degree_matrix(x: np.ndarray) -> np.ndarray:
-    """Diagonal matrix of full row sums (diagonal entry included)."""
-    _check_symmetric(x, 1e-10, "weight matrix")
-    return np.diag(x.sum(axis=1))
-
-
 def laplacian(x: np.ndarray) -> np.ndarray:
     """Graph Laplacian D - X with D the full-row-sum degree matrix.
 

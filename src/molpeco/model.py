@@ -4,7 +4,9 @@ Four variants share one architecture skeleton: a learned per-element atom
 embedding, an optional spectral positional encoder (a small transformer
 over the lowest Laplacian eigenpairs of each atom), a residual graph
 convolution stack over either the bond adjacency matrix or the normalized
-Coulomb matrix, sum pooling, and a multi-label sigmoid head.
+Coulomb matrix, sum pooling, and a linear multi-label head whose logits
+feed the loss directly. ``probabilities`` maps logits to the reported
+descriptor scores outside the differentiation graph.
 """
 
 from __future__ import annotations
@@ -51,15 +53,6 @@ class ModelConfig:
     @property
     def uses_lpe(self) -> bool:
         return self.variant in LPE_VARIANTS
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "o": self.o, "d": self.d, "p": self.p,
-            "gcn_layers": self.gcn_layers,
-            "transformer_layers": self.transformer_layers,
-            "cm_normalization": self.cm_normalization,
-            "clf_layers": self.clf_layers, "z_max": self.z_max,
-        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
@@ -211,24 +204,30 @@ def gcn_forward(matrix: np.ndarray, h0: Tensor, model: MolPecoModel) -> Tensor:
 
 
 def sum_pool(h: Tensor) -> Tensor:
-    """Molecule embedding: exactly rounded column sums of the atom
+    """Molecule embedding: order-independent column sums of the atom
     embeddings, hence bit-identical under atom reordering."""
     return ad.sum_rows_exact(h)
 
 
 def classify(m: Tensor, model: MolPecoModel) -> Tensor:
     """Multi-label head: optional hidden SELU layers, then a linear map to
-    one logistic output per descriptor. Outputs are kept strictly inside
-    (0, 1) even when a logit saturates the sigmoid."""
+    one logit per descriptor."""
     h = m
     for w, b in model.head_hidden:
         h = ad.selu(ad.linear(h, w, b))
-    return ad.clip_open_unit(ad.sigmoid(ad.matmul(h, model.head_w)))
+    return ad.matmul(h, model.head_w)
+
+
+def probabilities(logits: np.ndarray) -> np.ndarray:
+    """Reported descriptor scores: sigmoid of the logits, clamped into the
+    open interval (0, 1) so saturated outputs tie rather than reach 0 or 1."""
+    p = ad.sigmoid(ad.constant(logits)).values
+    return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def forward(feats: MolFeatures, model: MolPecoModel) -> tuple[Tensor, Tensor]:
-    """Full forward pass; returns (descriptor probabilities 1 x o,
-    penultimate molecule embedding 1 x d)."""
+    """Full forward pass; returns (descriptor logits 1 x o, penultimate
+    molecule embedding 1 x d)."""
     config = model.config
     if feats.kind != config.variant:
         raise DataError(

@@ -2,8 +2,8 @@
 validation loss, and dataset-level evaluation.
 
 The loss is a per-descriptor weighted sum of binary cross-entropy and a
-log-ratio regularizer; weights are 1 - n_pos / n_total computed on the
-training split only.
+log-ratio regularizer, computed from the head's logits; weights are
+1 - n_pos / n_total computed on the training split only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .chemio import Dataset, Split
 from .errors import DataError, NumericError
 from .features import MolFeatures, featurize_molecule
 from .metrics import EvalReport, eval_report, macro_auroc
-from .model import ModelConfig, MolPecoModel, forward
+from .model import ModelConfig, MolPecoModel, forward, probabilities
 
 LOSS_EPSILON = 1e-9
 
@@ -45,29 +45,28 @@ class LossConfig:
         return cls(weights, epsilon)
 
 
-def compute_loss(y_pred: Tensor, y_true, cfg: LossConfig) -> Tensor:
-    """Weighted multi-label loss for one molecule:
+def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
+    """Weighted multi-label loss for one molecule from its logits z, with
+    p_i = sigmoid(z_i):
 
     (1/o) * sum_i w_i * (BCE(t_i, p_i) + |log(p_i + eps) - log(t_i + eps)|)
+
+    BCE is evaluated as (1 - t) * z - log sigmoid(z), which stays finite
+    with a bounded gradient however far the logits saturate.
     """
-    pred = y_pred.values.reshape(-1)
     truth = np.asarray(y_true, dtype=np.float64).reshape(-1)
     o = cfg.label_weights.shape[0]
-    if pred.shape[0] != o or truth.shape[0] != o:
+    if logits.values.size != o or truth.shape[0] != o:
         raise DataError(
-            f"prediction ({pred.shape[0]}), target ({truth.shape[0]}) and "
+            f"prediction ({logits.values.size}), target ({truth.shape[0]}) and "
             f"weights ({o}) must share the descriptor count"
         )
-    if np.any(pred <= 0.0) or np.any(pred >= 1.0):
-        raise NumericError("predictions must lie strictly inside (0, 1)")
 
-    p = ad.reshape(y_pred, (o,))
-    t = ad.constant(truth)
-    one_minus_t = ad.constant(1.0 - truth)
+    z = ad.reshape(logits, (o,))
     eps = cfg.epsilon
-    bce = ad.neg(ad.add(ad.mul(t, ad.log(p)),
-                        ad.mul(one_minus_t, ad.log(ad.sub(ad.constant(1.0), p)))))
+    bce = ad.sub(ad.mul(ad.constant(1.0 - truth), z), ad.log_sigmoid(z))
     log_target = ad.constant(np.log(truth + eps))
+    p = ad.sigmoid(z)
     reg = ad.absolute(ad.sub(ad.log(ad.add(p, ad.constant(eps))), log_target))
     weighted = ad.mul(ad.add(bce, reg), ad.constant(cfg.label_weights))
     return weighted.sum() * (1.0 / o)
@@ -123,11 +122,6 @@ class TrainConfig:
                 or self.patience < 1:
             raise DataError(f"invalid training configuration: {self}")
 
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "batch_size": self.batch_size,
-                "max_epochs": self.max_epochs, "patience": self.patience,
-                "seed": self.seed, "stop_train_loss": self.stop_train_loss}
-
 
 @dataclass
 class TrainResult:
@@ -169,7 +163,7 @@ def _feature_list(dataset: Dataset, model_cfg: ModelConfig,
 def _score_split(model: MolPecoModel, feats: list[MolFeatures],
                  indices: Sequence[int]) -> np.ndarray:
     rows = [forward(feats[i], model)[0].values.reshape(-1) for i in indices]
-    return np.vstack(rows)
+    return probabilities(np.vstack(rows))
 
 
 def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
@@ -208,8 +202,8 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
             optimizer.zero_grad()
             losses = []
             for idx in batch:
-                y_pred, _ = forward(feats[idx], model)
-                losses.append(compute_loss(y_pred, dataset.targets[idx], loss_cfg))
+                logits, _ = forward(feats[idx], model)
+                losses.append(compute_loss(logits, dataset.targets[idx], loss_cfg))
             total = losses[0]
             for extra in losses[1:]:
                 total = ad.add(total, extra)
@@ -232,11 +226,11 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
         val_losses = []
         val_rows = []
         for idx in val_idx:
-            y_pred, _ = forward(feats[idx], model)
-            val_losses.append(compute_loss(y_pred, dataset.targets[idx], loss_cfg).item())
-            val_rows.append(y_pred.values.reshape(-1).copy())
+            logits, _ = forward(feats[idx], model)
+            val_losses.append(compute_loss(logits, dataset.targets[idx], loss_cfg).item())
+            val_rows.append(logits.values.reshape(-1))
         val_loss = float(np.mean(val_losses))
-        val_auroc = macro_auroc(np.vstack(val_rows), val_targets)
+        val_auroc = macro_auroc(probabilities(np.vstack(val_rows)), val_targets)
         result.history.append({"epoch": epoch, "train_loss": train_loss,
                                "val_loss": val_loss, "val_auroc": val_auroc})
 

@@ -218,11 +218,18 @@ class TestCriterion3GradientChecks:
             worst = max(worst, _max_rel(x.grad, _fd_grad(
                 lambda v: float((v.reshape(-1) * flat_weights).sum()), x_values)))
 
-            probs = rng.uniform(0.05, 0.95, size=(rows, cols))
-            x = Tensor(probs, requires_grad=True)
-            ad.backward(ad.mul(ad.clip_open_unit(x), Tensor(weights)).sum())
+            logits = 4.0 * x_values
+            x = Tensor(logits, requires_grad=True)
+            ad.backward(ad.mul(ad.log_sigmoid(x), Tensor(weights)).sum())
             worst = max(worst, _max_rel(x.grad, _fd_grad(
-                lambda v: float((np.clip(v, 0.0, 1.0) * weights).sum()), probs)))
+                lambda v: float((-np.logaddexp(0.0, -v) * weights).sum()), logits)))
+
+            saturated = np.where(x_values >= 0.0, 800.0, -800.0)
+            x = Tensor(saturated, requires_grad=True)
+            out = ad.log_sigmoid(x)
+            ad.backward(ad.mul(out, Tensor(weights)).sum())
+            assert np.all(np.isfinite(out.values))
+            assert np.array_equal(x.grad, np.where(saturated < 0.0, weights, 0.0))
 
             table = Tensor(rng.normal(size=(5, cols)), requires_grad=True)
             idx = rng.integers(0, 5, size=rows)
@@ -245,9 +252,9 @@ class TestCriterion3GradientChecks:
             config = ModelConfig(variant="mol-peco-sym", o=3, d=8, p=4,
                                  gcn_layers=1, transformer_layers=1, z_max=20)
             model = MolPecoModel(config, seed=seed)
-            # keep logits in a well-conditioned range: near saturation the
-            # float64 probability quantizes log(1-p) into a staircase and
-            # central differences stop measuring the true derivative
+            # keep logits in a well-conditioned range: large logits make
+            # the loss large, and its float64 rounding divided by h then
+            # swamps the smallest entries of the central differences
             model.head_w.values = model.head_w.values * 0.05
             loss_cfg = LossConfig(rng.uniform(0.3, 1.0, size=3))
             target = rng.integers(0, 2, size=3).astype(float)

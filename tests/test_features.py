@@ -21,7 +21,6 @@ from molpeco.features import (
     adjacency_matrix,
     asym_normalized_laplacian,
     coulomb_matrix,
-    degree_matrix,
     eig_symmetric,
     featurize_molecule,
     laplacian,
@@ -237,16 +236,6 @@ class TestNormalizations:
 
 
 class TestLaplacians:
-    def test_degree_matrix_row_sums(self):
-        x = np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert np.array_equal(degree_matrix(x), np.diag([2.0, 2.0]))
-
-    def test_degree_matrix_identity(self):
-        assert np.array_equal(degree_matrix(np.eye(2)), np.eye(2))
-
-    def test_degree_matrix_zero(self):
-        assert np.array_equal(degree_matrix(np.zeros((3, 3))), np.zeros((3, 3)))
-
     def test_laplacian_definition(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
         assert np.array_equal(laplacian(x), np.array([[2.0, -2.0], [-2.0, 2.0]]))

@@ -1,6 +1,8 @@
 """Network variants: shapes, invariances, architectural containment, and
 the end-to-end gradient check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,12 @@ from molpeco.model import (
     forward,
     gcn_forward,
     lpe_forward,
+    probabilities,
     sum_pool,
 )
 from molpeco.train import LossConfig, compute_loss
 
-from synthdata import random_molecule
+from synthdata import organic_molecule, random_molecule
 
 
 def small_config(variant="mol-peco-sym", **overrides):
@@ -133,17 +136,35 @@ class TestSumPoolAndClassify:
             assert np.array_equal(sum_pool(Tensor(h[perm])).values,
                                   sum_pool(Tensor(h)).values)
 
+    def test_matches_exactly_rounded_sums_within_rounding_bound(self):
+        # recursive summation of n terms errs by at most about
+        # (n - 1) u sum|x| with u = eps / 2; the bound allows eps for u
+        rng = np.random.default_rng(14)
+        h = rng.normal(size=(60, 6)) * np.logspace(-3, 3, 6)
+        exact = np.array([math.fsum(h[:, j]) for j in range(6)])
+        bound = 59 * np.finfo(np.float64).eps * np.abs(h).sum(axis=0)
+        assert np.all(np.abs(sum_pool(Tensor(h)).values[0] - exact) <= bound)
+
     def test_zero_head_gives_half(self):
         model = MolPecoModel(small_config(variant="coulomb-gcn"), seed=0)
         model.head_w.values = np.zeros_like(model.head_w.values)
         out = classify(Tensor(np.random.default_rng(4).normal(size=(1, 8))), model)
-        assert np.array_equal(out.values, np.full((1, 3), 0.5))
+        assert np.array_equal(out.values, np.zeros((1, 3)))
+        assert np.array_equal(probabilities(out.values), np.full((1, 3), 0.5))
 
     def test_classify_shape_and_range(self):
         model = MolPecoModel(small_config(variant="coulomb-gcn"), seed=0)
-        out = classify(Tensor(np.random.default_rng(5).normal(size=(1, 8))), model)
+        m = np.random.default_rng(5).normal(size=(1, 8))
+        out = classify(Tensor(m), model)
         assert out.values.shape == (1, 3)
-        assert np.all((out.values > 0) & (out.values < 1))
+        assert np.array_equal(out.values, m @ model.head_w.values)
+        p = probabilities(out.values)
+        assert np.all((p > 0) & (p < 1))
+
+    def test_probabilities_of_saturated_logits_tie_inside_unit_interval(self):
+        p = probabilities(np.array([[-800.0, -750.0, 0.0, 750.0, 800.0]]))
+        lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+        assert p.tolist() == [[lo, lo, 0.5, hi, hi]]
 
     def test_monotone_in_logit_direction(self):
         model = MolPecoModel(small_config(variant="coulomb-gcn"), seed=0)
@@ -222,8 +243,31 @@ class TestForward:
         for i in range(20):
             mol = random_molecule(rng, f"m{i}")
             y, m = forward(featurize_molecule(mol, "mol-peco-sym"), model)
-            assert np.all((y.values > 0.0) & (y.values < 1.0))
+            assert np.all(np.isfinite(y.values))
+            p = probabilities(y.values)
+            assert np.all((p > 0.0) & (p < 1.0))
             assert np.all(np.isfinite(m.values))
+
+    def test_default_lpe_config_trains_on_real_size_molecule(self):
+        # at initialization the default mol-peco-asym model saturates every
+        # output on a molecule of realistic size; with each target opposite
+        # to its prediction, every head column and the element embedding
+        # must still receive a finite, non-zero gradient
+        rng = np.random.default_rng(13)
+        mol = organic_molecule(rng, "m", 48)
+        model = MolPecoModel(ModelConfig(variant="mol-peco-asym", o=3), seed=0)
+        logits, _ = forward(featurize_molecule(mol, "mol-peco-asym"), model)
+        assert np.all(np.abs(logits.values) > 40.0)
+        target = (logits.values.reshape(-1) < 0.0).astype(float)
+        loss = compute_loss(logits, target, LossConfig(np.array([0.9, 0.5, 0.2])))
+        assert np.isfinite(loss.item())
+        ad.backward(loss)
+        params = model.param_dict()
+        head_grad = params["head.w"].tensor.grad
+        embed_grad = params["embed.table"].tensor.grad
+        assert np.all(np.isfinite(head_grad)) and np.all(np.isfinite(embed_grad))
+        assert np.all(np.any(head_grad != 0.0, axis=0))
+        assert np.any(embed_grad != 0.0)
 
 
 class TestEndToEndGradient:

@@ -19,15 +19,16 @@ from synthdata import structure_labeled_set
 
 class TestComputeLoss:
     def test_perfect_prediction_near_zero(self):
+        # logit 30: sigmoid is 1 - 9.4e-14
         cfg = LossConfig(np.array([1.0]))
-        loss = compute_loss(Tensor([[1.0 - 1e-12]]), np.array([1.0]), cfg)
+        loss = compute_loss(Tensor([[30.0]]), np.array([1.0]), cfg)
         assert 0.0 <= loss.item() <= 1e-8
 
     def test_half_prediction_oracle(self):
-        # independent scalar evaluation: BCE = -log(0.5),
-        # reg = |log(0.5 + 1e-9) - log(1e-9)|
+        # logit 0 is probability 0.5; independent scalar evaluation:
+        # BCE = -log(0.5), reg = |log(0.5 + 1e-9) - log(1e-9)|
         cfg = LossConfig(np.array([1.0]))
-        loss = compute_loss(Tensor([[0.5]]), np.array([0.0]), cfg)
+        loss = compute_loss(Tensor([[0.0]]), np.array([0.0]), cfg)
         bce = -math.log(1.0 - 0.5)
         reg = abs(math.log(0.5 + 1e-9) - math.log(1e-9))
         assert abs(loss.item() - (bce + reg)) <= 1e-12
@@ -50,14 +51,21 @@ class TestComputeLoss:
         for _ in range(50):
             o = int(rng.integers(1, 6))
             cfg = LossConfig(rng.uniform(0.1, 1.0, size=o))
-            pred = Tensor(rng.uniform(1e-6, 1.0 - 1e-6, size=(1, o)))
+            pred = Tensor(rng.normal(0.0, 10.0, size=(1, o)))
             truth = rng.integers(0, 2, size=o).astype(float)
             assert compute_loss(pred, truth, cfg).item() >= 0.0
 
-    def test_prediction_outside_unit_interval_rejected(self):
-        cfg = LossConfig(np.array([1.0]))
-        with pytest.raises(NumericError):
-            compute_loss(Tensor([[1.0]]), np.array([1.0]), cfg)
+    def test_saturated_wrong_logit_finite_loss_and_gradient(self):
+        # both outputs saturated on the wrong side: the BCE gradient
+        # sigmoid(z) - t is +-1, not clamped to zero
+        cfg = LossConfig(np.array([1.0, 1.0]))
+        logits = Tensor([[800.0, -800.0]], requires_grad=True)
+        loss = compute_loss(logits, np.array([0.0, 1.0]), cfg)
+        assert np.isfinite(loss.item())
+        assert loss.item() >= 800.0
+        ad.backward(loss)
+        assert np.all(np.isfinite(logits.grad))
+        assert np.all(logits.grad != 0.0)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(1)
