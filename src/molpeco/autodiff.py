@@ -197,6 +197,17 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(a.values.reshape(shape), (a,), grad_fn, "reshape")
 
 
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenation along axis 0; the gradient splits back into the
+    parts' rows."""
+    bounds = np.cumsum([part.values.shape[0] for part in parts])[:-1]
+
+    def grad_fn(g):
+        return tuple(np.split(g, bounds))
+    return _node(np.concatenate([part.values for part in parts]), tuple(parts),
+                 grad_fn, "concat_rows")
+
+
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     original = a.values.shape
 

@@ -183,15 +183,12 @@ def _atom_from_record(entry, mol_id: str, line_no: int) -> Atom:
     return Atom(atomic_number, position)
 
 
-def parse_molecules(path, fmt: str = "jsonl",
-                    max_atoms: int = DEFAULT_MAX_ATOMS) -> Dataset:
-    """Parse a molecule file into a Dataset. JSONL is the only format.
+def parse_molecules(path, max_atoms: int = DEFAULT_MAX_ATOMS) -> Dataset:
+    """Parse a JSONL molecule file into a Dataset.
 
     Raises ParseError naming the line for malformed records, and DataError
     naming the molecule for atom counts above ``max_atoms``.
     """
-    if fmt != "jsonl":
-        raise DataError(f"unsupported input format '{fmt}' (only 'jsonl')")
     molecules: list[Molecule] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):

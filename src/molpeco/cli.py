@@ -24,8 +24,9 @@ from .config import RunConfig, UsageError, apply_overrides, load_config
 from .errors import DataError, MolpecoError, NumericError
 from .features import featurize_molecule, read_feature_cache, write_feature_cache
 from .metrics import METRIC_NAMES
+# forward is unused here, but perfbench/layers.py traces it as cli.forward
 from .model import ModelConfig, MolPecoModel, forward
-from .train import evaluate, train_loop
+from .train import evaluate, feature_list, predict, train_loop
 
 
 def _file_sha256(path) -> str:
@@ -133,18 +134,10 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _restore_model(config: RunConfig, checkpoint_path, dataset) -> MolPecoModel:
-    metadata, state = load_checkpoint(checkpoint_path)
-    descriptors = metadata.get("descriptors")
-    if descriptors is not None and list(dataset.vocabulary.descriptors) != descriptors:
-        raise DataError("checkpoint descriptors do not match the configured dataset")
-    model = MolPecoModel(ModelConfig.from_dict(metadata["model_config"]),
-                         seed=config.seed)
-    model.load_state(state)
-    return model
-
-
-def cmd_eval(config: RunConfig, part: str) -> int:
+def _load_part(config: RunConfig, part: str):
+    """The cleaned dataset, the indices of one split part, the feature
+    cache, the output directory and the model restored from its
+    checkpoint."""
     ds = _load_dataset(config, cleaned=True)
     split = chemio.load_split(config.split_path)
     features = _load_features(config)
@@ -152,7 +145,18 @@ def cmd_eval(config: RunConfig, part: str) -> int:
     if indices is None:
         raise UsageError(f"unknown split part '{part}' (expected train, val, or test)")
     out = _out_dir(config)
-    model = _restore_model(config, out / "checkpoint.bin", ds)
+    metadata, state = load_checkpoint(out / "checkpoint.bin")
+    descriptors = metadata.get("descriptors")
+    if descriptors is not None and list(ds.vocabulary.descriptors) != descriptors:
+        raise DataError("checkpoint descriptors do not match the configured dataset")
+    model = MolPecoModel(ModelConfig.from_dict(metadata["model_config"]),
+                         seed=config.seed)
+    model.load_state(state)
+    return ds, indices, features, out, model
+
+
+def cmd_eval(config: RunConfig, part: str) -> int:
+    ds, indices, features, out, model = _load_part(config, part)
     report = evaluate(model, ds, indices, features, config.threshold)
     (out / f"report_{part}.json").write_text(report.to_json(config.config_hash()) + "\n",
                                              encoding="utf-8")
@@ -203,24 +207,13 @@ def cmd_sweep(config: RunConfig, depths, variants) -> int:
 
 
 def cmd_embed(config: RunConfig, part: str) -> int:
-    ds = _load_dataset(config, cleaned=True)
-    split = chemio.load_split(config.split_path)
-    features = _load_features(config)
-    indices = split.parts().get(part)
-    if indices is None:
-        raise UsageError(f"unknown split part '{part}' (expected train, val, or test)")
-    out = _out_dir(config)
-    model = _restore_model(config, out / "checkpoint.bin", ds)
+    ds, indices, features, out, model = _load_part(config, part)
+    _, embeddings = predict(model, feature_list(ds, model.config, features, indices))
     lines = [f"# config_hash={config.config_hash()}",
              "id," + ",".join(f"e{i}" for i in range(model.config.d))]
-    for idx in indices:
-        mol = ds.molecules[idx]
-        feat = features.get(mol.id)
-        if feat is None:
-            raise DataError(f"no cached features for molecule '{mol.id}'")
-        _, embedding = forward(feat, model)
-        values = ",".join(repr(float(v)) for v in embedding.values.reshape(-1))
-        lines.append(f"{mol.id},{values}")
+    for idx, embedding in zip(indices, embeddings):
+        values = ",".join(repr(float(v)) for v in embedding)
+        lines.append(f"{ds.molecules[idx].id},{values}")
     path = out / f"embeddings_{part}.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(indices)} embeddings -> {path} [config {config.config_hash()}]")

@@ -60,21 +60,22 @@ class RunConfig:
 
     def featurize_signature(self) -> dict:
         """The sub-configuration a feature cache depends on; training
-        refuses caches whose signature differs."""
+        refuses caches whose signature differs. The cache stores each
+        molecule's full spectrum, so ``p`` is not part of it."""
         return {"variant": self.variant, "normalization": self.cm_normalization,
-                "p": self.p, "max_atoms": self.max_atoms}
+                "max_atoms": self.max_atoms}
+
+    def _shared_fields(self, cls) -> dict:
+        """This configuration's values of the fields it shares with the
+        dataclass ``cls``."""
+        return {f.name: getattr(self, f.name) for f in fields(cls)
+                if f.name in _FIELD_TYPES}
 
     def model_config(self, o: int) -> ModelConfig:
-        return ModelConfig(variant=self.variant, o=o, d=self.d, p=self.p,
-                           gcn_layers=self.gcn_layers,
-                           transformer_layers=self.transformer_layers,
-                           cm_normalization=self.cm_normalization,
-                           clf_layers=self.clf_layers, z_max=self.z_max)
+        return ModelConfig(o=o, **self._shared_fields(ModelConfig))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(learning_rate=self.learning_rate,
-                           batch_size=self.batch_size, max_epochs=self.max_epochs,
-                           patience=self.patience, seed=self.seed)
+        return TrainConfig(**self._shared_fields(TrainConfig))
 
 
 _FIELD_TYPES = {f.name: f for f in fields(RunConfig)}

@@ -44,19 +44,6 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-@dataclass(frozen=True)
-class LPEInput:
-    """Per-atom spectral pairs feeding the positional encoder.
-
-    ``pairs`` has shape (p, 2): column 0 the eigenvalue, column 1 that
-    atom's eigenvector component. ``mask`` is True on valid rows; padded
-    rows are zero with mask False.
-    """
-
-    pairs: np.ndarray
-    mask: np.ndarray
-
-
 def adjacency_matrix(mol: Molecule) -> np.ndarray:
     """Symmetric 0/1 bond matrix with zero diagonal."""
     if mol.bonds is None:
@@ -184,13 +171,10 @@ def asym_normalized_laplacian(x: np.ndarray) -> Spectrum:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-|entry| component (lowest index on
-    ties) is non-negative."""
-    vectors = vectors.copy()
-    pivot_rows = np.argmax(np.abs(vectors), axis=0)
-    for col, row in enumerate(pivot_rows):
-        if vectors[row, col] < 0.0:
-            vectors[:, col] = -vectors[:, col]
-    return vectors
+    ties) is non-negative. Returns a new C-ordered array."""
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    # C order: the column norms in asym_normalized_laplacian round by memory order
+    return np.ascontiguousarray(np.where(pivots < 0.0, -vectors, vectors))
 
 
 def eig_symmetric(mat: np.ndarray) -> Spectrum:
@@ -215,20 +199,22 @@ def eig_symmetric(mat: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues, vectors)
 
 
-def lpe_input(spectrum: Spectrum, atom_index: int, p: int = 20) -> LPEInput:
-    """The p lowest (eigenvalue, eigenvector component) pairs for one atom,
-    zero-padded with a validity mask when the molecule has fewer than p
-    spectral pairs. The trivial eigenvalue is included."""
-    n = spectrum.n
-    if not 0 <= atom_index < n:
-        raise DataError(f"atom index {atom_index} out of range for {n} atoms")
-    pairs = np.zeros((p, 2), dtype=np.float64)
-    mask = np.zeros(p, dtype=bool)
-    k = min(p, n)
-    pairs[:k, 0] = spectrum.eigenvalues[:k]
-    pairs[:k, 1] = spectrum.eigenvectors[atom_index, :k]
-    mask[:k] = True
-    return LPEInput(pairs, mask)
+def lpe_input(spectrum: Spectrum, p: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """The p lowest spectral pairs of every atom, feeding the positional
+    encoder. The trivial eigenvalue is included.
+
+    Returns ``pairs`` of shape (n, p, 2), where ``pairs[a, k]`` is
+    (eigenvalue k, component a of eigenvector k), and ``mask`` of shape
+    (n, p), True on valid pairs. When the molecule has fewer than p
+    spectral pairs, the padded pairs are zero with mask False.
+    """
+    k = min(p, spectrum.n)
+    pairs = np.zeros((spectrum.n, p, 2), dtype=np.float64)
+    mask = np.zeros((spectrum.n, p), dtype=bool)
+    pairs[:, :k, 0] = spectrum.eigenvalues[:k]
+    pairs[:, :k, 1] = spectrum.eigenvectors[:, :k]
+    mask[:, :k] = True
+    return pairs, mask
 
 
 # ---------------------------------------------------------------------------

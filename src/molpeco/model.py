@@ -174,13 +174,7 @@ def lpe_forward(spectrum: Spectrum, model: MolPecoModel) -> Tensor:
     config = model.config
     if not config.uses_lpe or model.lpe_w0 is None:
         raise DataError(f"variant '{config.variant}' has no positional encoder")
-    n = spectrum.n
-    pairs = np.zeros((n, config.p, 2), dtype=np.float64)
-    mask = np.zeros((n, config.p), dtype=bool)
-    for atom in range(n):
-        entry = lpe_input(spectrum, atom, config.p)
-        pairs[atom] = entry.pairs
-        mask[atom] = entry.mask
+    pairs, mask = lpe_input(spectrum, config.p)
     h = ad.matmul(ad.constant(pairs), model.lpe_w0)
     for block in model.lpe_blocks:
         h = ad.transformer_block(h, mask, block)

@@ -3,7 +3,11 @@ validation loss, and dataset-level evaluation.
 
 The loss is a per-descriptor weighted sum of binary cross-entropy and a
 log-ratio regularizer, computed from the head's logits; weights are
-1 - n_pos / n_total computed on the training split only.
+1 - n_pos / n_total computed on the training split only. A training batch
+builds one loss over the (B, o) matrix of its molecules' logits. Each
+molecule keeps its own unpadded forward graph; ``predict`` is the one
+path that scores molecules outside training (validation, evaluation and
+embedding export).
 """
 
 from __future__ import annotations
@@ -46,30 +50,34 @@ class LossConfig:
 
 
 def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
-    """Weighted multi-label loss for one molecule from its logits z, with
-    p_i = sigmoid(z_i):
+    """Weighted multi-label loss of a batch of molecules from their logits,
+    the mean over the rows of per-molecule losses. One row z of the
+    (B, o) logit matrix, with p_i = sigmoid(z_i), has the loss
 
     (1/o) * sum_i w_i * (BCE(t_i, p_i) + |log(p_i + eps) - log(t_i + eps)|)
 
     BCE is evaluated as (1 - t) * z - log sigmoid(z), which stays finite
-    with a bounded gradient however far the logits saturate.
+    with a bounded gradient however far the logits saturate. The targets
+    are reshaped to the logits' shape, so one molecule's (1, o) logits take
+    a 1D target row.
     """
-    truth = np.asarray(y_true, dtype=np.float64).reshape(-1)
+    truth = np.asarray(y_true, dtype=np.float64)
     o = cfg.label_weights.shape[0]
-    if logits.values.size != o or truth.shape[0] != o:
+    if logits.values.shape[-1:] != (o,) or truth.size != logits.values.size:
         raise DataError(
-            f"prediction ({logits.values.size}), target ({truth.shape[0]}) and "
+            f"prediction {logits.values.shape}, target {truth.shape} and "
             f"weights ({o}) must share the descriptor count"
         )
 
-    z = ad.reshape(logits, (o,))
+    z = logits
+    truth = truth.reshape(z.values.shape)
     eps = cfg.epsilon
     bce = ad.sub(ad.mul(ad.constant(1.0 - truth), z), ad.log_sigmoid(z))
     log_target = ad.constant(np.log(truth + eps))
     p = ad.sigmoid(z)
     reg = ad.absolute(ad.sub(ad.log(ad.add(p, ad.constant(eps))), log_target))
     weighted = ad.mul(ad.add(bce, reg), ad.constant(cfg.label_weights))
-    return weighted.sum() * (1.0 / o)
+    return weighted.sum() * (1.0 / weighted.values.size)
 
 
 class Adam:
@@ -125,13 +133,11 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Best checkpoint (by validation loss), the last parameter state, and
-    the per-epoch history."""
+    """Best checkpoint (by validation loss) and the per-epoch history."""
 
     best_state: dict[str, np.ndarray]
     best_epoch: int
     best_val_loss: Optional[float]
-    final_state: dict[str, np.ndarray] = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
     diverged: bool = False
 
@@ -146,10 +152,14 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _feature_list(dataset: Dataset, model_cfg: ModelConfig,
-                  features: Optional[dict[str, MolFeatures]]) -> list[MolFeatures]:
+def feature_list(dataset: Dataset, model_cfg: ModelConfig,
+                 features: Optional[dict[str, MolFeatures]],
+                 indices: Sequence[int]) -> list[MolFeatures]:
+    """Features of the molecules at ``indices``, in that order: looked up
+    by id in ``features`` when it is given, computed otherwise."""
     out = []
-    for mol in dataset.molecules:
+    for idx in indices:
+        mol = dataset.molecules[idx]
         if features is not None:
             feat = features.get(mol.id)
             if feat is None:
@@ -160,10 +170,20 @@ def _feature_list(dataset: Dataset, model_cfg: ModelConfig,
     return out
 
 
-def _score_split(model: MolPecoModel, feats: list[MolFeatures],
-                 indices: Sequence[int]) -> np.ndarray:
-    rows = [forward(feats[i], model)[0].values.reshape(-1) for i in indices]
-    return probabilities(np.vstack(rows))
+def predict(model: MolPecoModel,
+            feats: Sequence[MolFeatures]) -> tuple[np.ndarray, np.ndarray]:
+    """Logits (B x o) and molecule embeddings (B x d) of B molecules.
+
+    Each molecule runs its own forward pass, and its graph is dropped once
+    its rows are read, so at most one graph is alive at a time.
+    """
+    logits = np.empty((len(feats), model.config.o))
+    embeddings = np.empty((len(feats), model.config.d))
+    for row, feat in enumerate(feats):
+        z, m = forward(feat, model)
+        logits[row] = z.values[0]
+        embeddings[row] = m.values[0]
+    return logits, embeddings
 
 
 def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
@@ -180,34 +200,28 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
     """
     if not split.train or not split.val:
         raise DataError("train and validation splits must be non-empty")
-    feats = _feature_list(dataset, model_cfg, features)
+    train_feats = feature_list(dataset, model_cfg, features, split.train)
+    train_targets = dataset.targets[np.asarray(split.train, dtype=np.int64)]
+    val_feats = feature_list(dataset, model_cfg, features, split.val)
+    val_targets = dataset.targets[np.asarray(split.val, dtype=np.int64)]
     loss_cfg = LossConfig.from_dataset(dataset, split.train)
     model = MolPecoModel(model_cfg, seed=train_cfg.seed)
     optimizer = Adam(model.parameters(), lr=train_cfg.learning_rate)
     rng = np.random.default_rng([train_cfg.seed, 1])
 
     result = TrainResult(best_state=model.state_arrays(), best_epoch=0,
-                         best_val_loss=None, final_state=model.state_arrays())
-    train_idx = np.asarray(split.train, dtype=np.int64)
-    val_idx = list(split.val)
-    val_targets = dataset.targets[np.asarray(val_idx, dtype=np.int64)]
+                         best_val_loss=None)
     epochs_since_best = 0
 
     for epoch in range(1, train_cfg.max_epochs + 1):
-        order = rng.permutation(train_idx)
+        order = rng.permutation(len(train_feats))
         epoch_loss_sum = 0.0
         diverged = False
         for start in range(0, order.shape[0], train_cfg.batch_size):
             batch = order[start:start + train_cfg.batch_size]
             optimizer.zero_grad()
-            losses = []
-            for idx in batch:
-                logits, _ = forward(feats[idx], model)
-                losses.append(compute_loss(logits, dataset.targets[idx], loss_cfg))
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ad.add(total, extra)
-            total = total * (1.0 / len(batch))
+            logits = ad.concat_rows([forward(train_feats[i], model)[0] for i in batch])
+            total = compute_loss(logits, train_targets[batch], loss_cfg)
             if not math.isfinite(total.item()):
                 diverged = True
                 break
@@ -223,14 +237,9 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
             break
 
         train_loss = epoch_loss_sum / order.shape[0]
-        val_losses = []
-        val_rows = []
-        for idx in val_idx:
-            logits, _ = forward(feats[idx], model)
-            val_losses.append(compute_loss(logits, dataset.targets[idx], loss_cfg).item())
-            val_rows.append(logits.values.reshape(-1))
-        val_loss = float(np.mean(val_losses))
-        val_auroc = macro_auroc(probabilities(np.vstack(val_rows)), val_targets)
+        val_logits, _ = predict(model, val_feats)
+        val_loss = compute_loss(ad.constant(val_logits), val_targets, loss_cfg).item()
+        val_auroc = macro_auroc(probabilities(val_logits), val_targets)
         result.history.append({"epoch": epoch, "train_loss": train_loss,
                                "val_loss": val_loss, "val_auroc": val_auroc})
 
@@ -249,8 +258,6 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
         if train_cfg.stop_train_loss is not None \
                 and train_loss <= train_cfg.stop_train_loss:
             break
-
-    result.final_state = model.state_arrays()
     return result
 
 
@@ -261,7 +268,7 @@ def evaluate(model: MolPecoModel, dataset: Dataset, indices: Sequence[int],
     part."""
     if not indices:
         raise DataError("cannot evaluate an empty split")
-    feats = _feature_list(dataset, model.config, features)
-    scores = _score_split(model, feats, indices)
+    logits, _ = predict(model, feature_list(dataset, model.config, features, indices))
     targets = dataset.targets[np.asarray(indices, dtype=np.int64)]
-    return eval_report(scores, targets, dataset.vocabulary.descriptors, threshold)
+    return eval_report(probabilities(logits), targets, dataset.vocabulary.descriptors,
+                       threshold)

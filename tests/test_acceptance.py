@@ -236,6 +236,18 @@ class TestCriterion3GradientChecks:
             ad.backward(ad.mul(ad.gather_rows(table, idx), Tensor(weights)).sum())
             worst = max(worst, _max_rel(table.grad, _fd_grad(
                 lambda v: float((v[idx] * weights).sum()), table.values)))
+
+            extra_values = rng.normal(size=(int(rng.integers(1, 4)), cols))
+            stacked_weights = rng.normal(size=(rows + extra_values.shape[0], cols))
+            x = Tensor(x_values, requires_grad=True)
+            extra = Tensor(extra_values, requires_grad=True)
+            ad.backward(ad.mul(ad.concat_rows([x, extra]), Tensor(stacked_weights)).sum())
+            worst = max(worst, _max_rel(x.grad, _fd_grad(
+                lambda v: float((np.concatenate([v, extra_values]) * stacked_weights).sum()),
+                x_values)))
+            worst = max(worst, _max_rel(extra.grad, _fd_grad(
+                lambda v: float((np.concatenate([x_values, v]) * stacked_weights).sum()),
+                extra_values)))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-6 and elapsed < 30.0
         report(3, ok, f"primitives: worst rel err {worst:.2e}, {elapsed:.1f}s")
@@ -374,7 +386,9 @@ class TestCriterion7OverfitSmoke:
         base = structure_labeled_set(rng, count=20)
         extras = [random_molecule(rng, f"extra{i}") for i in range(2)]
         ds = build_dataset(list(base.molecules) + extras)
-        split = Split(tuple(range(20)), (20,), (21,), seed=0)
+        # validating on the training molecules makes the kept checkpoint
+        # (minimal validation loss) the overfit model
+        split = Split(tuple(range(20)), tuple(range(20)), (20, 21), seed=0)
         model_cfg = ModelConfig(variant="mol-peco-sym", o=ds.num_descriptors,
                                 d=16, p=8, gcn_layers=2, transformer_layers=1,
                                 z_max=20)
@@ -384,7 +398,7 @@ class TestCriterion7OverfitSmoke:
         final_loss = result.history[-1]["train_loss"]
         epochs = len(result.history)
         model = MolPecoModel(model_cfg, seed=0)
-        model.load_state(result.final_state)
+        model.load_state(result.best_state)
         train_report = evaluate(model, ds, list(split.train))
         min_auroc = min(v["auroc"] for v in train_report.per_descriptor.values())
         elapsed = time.perf_counter() - start
@@ -393,6 +407,7 @@ class TestCriterion7OverfitSmoke:
                       f"per-descriptor train AUROC {min_auroc:.3f}, {elapsed:.1f}s")
         assert final_loss < 0.05
         assert min_auroc >= 0.99
+        assert result.best_epoch == epochs
         assert epochs <= 500
         assert elapsed < 120.0
 

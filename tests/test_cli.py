@@ -81,6 +81,16 @@ class TestPipeline:
         assert run_cli("featurize", "--config", config_path) == 0
         assert cache.read_bytes() == first
 
+    def test_cache_built_at_one_p_trains_at_another(self, workspace):
+        # the cache stores each molecule's full spectrum, so p is chosen at
+        # training time
+        tmp_path, config_path, _ = workspace
+        assert run_cli("featurize", "--config", config_path, "--p", "20") == 0
+        assert run_cli("split", "--config", config_path) == 0
+        assert run_cli("train", "--config", config_path, "--p", "8") == 0
+        metadata, _ = load_checkpoint(tmp_path / "out" / "checkpoint.bin")
+        assert metadata["model_config"]["p"] == 8
+
     def test_split_is_partition(self, workspace):
         tmp_path, config_path, _ = workspace
         assert run_cli("split", "--config", config_path) == 0

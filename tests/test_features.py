@@ -15,9 +15,9 @@ from molpeco.chemio import Atom, Molecule
 from molpeco.errors import ConvergenceError, DataError, GeometryError
 from molpeco.features import (
     BOHR_PER_ANGSTROM,
-    LPEInput,
     MIN_ATOM_DISTANCE,
     MolFeatures,
+    _fix_signs,
     adjacency_matrix,
     asym_normalized_laplacian,
     coulomb_matrix,
@@ -396,6 +396,25 @@ class TestEigSymmetric:
             pivot = np.argmax(np.abs(first.eigenvectors[:, col]))
             assert first.eigenvectors[pivot, col] >= 0.0
 
+    def test_fix_signs_matches_column_loop(self):
+        def loop_reference(vectors):
+            vectors = vectors.copy()
+            for col, row in enumerate(np.argmax(np.abs(vectors), axis=0)):
+                if vectors[row, col] < 0.0:
+                    vectors[:, col] = -vectors[:, col]
+            return vectors
+
+        rng = np.random.default_rng(24)
+        # ties on the largest magnitude, signed zeros, and random columns
+        tied = np.array([[-0.5, 0.5, 0.0], [0.5, -0.5, -0.0], [0.0, 0.0, -1.0]])
+        random_columns = [rng.normal(size=(n, n)) for n in (1, 5, 40)]
+        for vectors in [tied, np.asfortranarray(tied)] + random_columns:
+            got = _fix_signs(vectors)
+            expected = loop_reference(vectors)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert got.flags.c_contiguous
+
     def test_non_symmetric_rejected(self):
         with pytest.raises(DataError, match="symmetric"):
             eig_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -435,17 +454,18 @@ class TestLPEInput:
 
     def test_padding_beyond_molecule_size(self):
         spec = self._path_spectrum(2)
-        entry = lpe_input(spec, 0, p=20)
-        assert entry.pairs.shape == (20, 2)
-        assert entry.mask[:2].all() and not entry.mask[2:].any()
-        assert np.all(entry.pairs[2:] == 0.0)
+        pairs, mask = lpe_input(spec, p=20)
+        assert pairs.shape == (2, 20, 2) and mask.shape == (2, 20)
+        assert mask[:, :2].all() and not mask[:, 2:].any()
+        assert np.all(pairs[:, 2:] == 0.0)
+        assert np.array_equal(pairs[:, :2, 1], spec.eigenvectors)
 
     def test_single_pair(self):
         spec = self._path_spectrum(3)
-        entry = lpe_input(spec, 1, p=1)
-        assert entry.pairs.shape == (1, 2)
-        assert entry.pairs[0, 0] == spec.eigenvalues[0]
-        assert entry.pairs[0, 1] == spec.eigenvectors[1, 0]
+        pairs, mask = lpe_input(spec, p=1)
+        assert pairs.shape == (3, 1, 2) and mask.all()
+        assert np.all(pairs[:, 0, 0] == spec.eigenvalues[0])
+        assert np.array_equal(pairs[:, 0, 1], spec.eigenvectors[:, 0])
 
     def test_fiedler_vector_monotone_on_path(self):
         # the Fiedler vector of a path's combinatorial Laplacian orders
@@ -458,11 +478,6 @@ class TestLPEInput:
         fiedler = spec.eigenvectors[:, 1]
         diffs = np.diff(fiedler)
         assert np.all(diffs > 0) or np.all(diffs < 0)
-
-    def test_out_of_range_atom(self):
-        spec = self._path_spectrum(3)
-        with pytest.raises(DataError):
-            lpe_input(spec, 3)
 
 
 class TestFeaturizeMolecule:

@@ -9,12 +9,14 @@ import pytest
 from molpeco import autodiff as ad
 from molpeco.autodiff import Parameter, Tensor
 from molpeco.checkpoints import load_checkpoint, save_checkpoint
-from molpeco.chemio import stratified_split
+from molpeco.chemio import build_dataset, stratified_split
 from molpeco.errors import DataError, NumericError
-from molpeco.model import ModelConfig, MolPecoModel
-from molpeco.train import Adam, LossConfig, TrainConfig, compute_loss, evaluate, train_loop
+from molpeco.features import featurize_molecule
+from molpeco.model import ModelConfig, MolPecoModel, forward
+from molpeco.train import (Adam, LossConfig, TrainConfig, compute_loss, evaluate, predict,
+                           train_loop)
 
-from synthdata import structure_labeled_set
+from synthdata import random_molecule, structure_labeled_set
 
 
 class TestComputeLoss:
@@ -54,6 +56,26 @@ class TestComputeLoss:
             pred = Tensor(rng.normal(0.0, 10.0, size=(1, o)))
             truth = rng.integers(0, 2, size=o).astype(float)
             assert compute_loss(pred, truth, cfg).item() >= 0.0
+
+    def test_batch_is_mean_of_row_losses(self):
+        rng = np.random.default_rng(2)
+        for batch in (1, 3, 17):
+            o = int(rng.integers(1, 6))
+            cfg = LossConfig(rng.uniform(0.1, 1.0, size=o))
+            logits = rng.normal(0.0, 10.0, size=(batch, o))
+            truth = rng.integers(0, 2, size=(batch, o)).astype(float)
+            rows = [compute_loss(Tensor(logits[i:i + 1]), truth[i], cfg).item()
+                    for i in range(batch)]
+            expected = math.fsum(rows) / batch
+            got = compute_loss(Tensor(logits), truth, cfg).item()
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_shape_mismatch_rejected(self):
+        cfg = LossConfig(np.array([0.5, 0.5]))
+        with pytest.raises(DataError, match="descriptor count"):
+            compute_loss(Tensor(np.zeros((2, 2))), np.zeros(2), cfg)
+        with pytest.raises(DataError, match="descriptor count"):
+            compute_loss(Tensor(np.zeros((1, 3))), np.zeros(3), cfg)
 
     def test_saturated_wrong_logit_finite_loss_and_gradient(self):
         # both outputs saturated on the wrong side: the BCE gradient
@@ -205,7 +227,36 @@ class TestTrainLoop:
         assert len(result.history) < 200
 
 
+class TestPredict:
+    def test_rows_equal_per_molecule_forward(self):
+        ds = structure_labeled_set(np.random.default_rng(5))
+        for variant in ("coulomb-gcn", "mol-peco-asym"):
+            model = MolPecoModel(ModelConfig(variant=variant, o=ds.num_descriptors, d=8,
+                                             p=4, gcn_layers=2, transformer_layers=1,
+                                             z_max=20), seed=1)
+            feats = [featurize_molecule(mol, variant) for mol in ds.molecules]
+            logits, embeddings = predict(model, feats)
+            assert logits.shape == (len(ds), ds.num_descriptors)
+            assert embeddings.shape == (len(ds), 8)
+            for row, feat in enumerate(feats):
+                z, m = forward(feat, model)
+                assert np.array_equal(logits[row], z.values[0])
+                assert np.array_equal(embeddings[row], m.values[0])
+
+
 class TestEvaluate:
+    def test_featurizes_only_the_scored_molecules(self):
+        # the adjacency representation needs bonds: featurizing the bond-free
+        # molecule, which is not scored, would raise DataError
+        rng = np.random.default_rng(6)
+        bonded = [random_molecule(rng, f"b{i}", labels={"odd"} if i % 2 else {"even"},
+                                  with_bonds=True) for i in range(6)]
+        ds = build_dataset(bonded + [random_molecule(rng, "loose", labels={"odd"})])
+        model_cfg = ModelConfig(variant="adjacency-gcn", o=ds.num_descriptors, d=8,
+                                gcn_layers=1, z_max=20)
+        report = evaluate(MolPecoModel(model_cfg, seed=0), ds, list(range(6)))
+        assert len(report.per_descriptor) == ds.num_descriptors
+
     def test_report_covers_all_descriptors(self):
         ds = structure_labeled_set(np.random.default_rng(2))
         model_cfg = ModelConfig(variant="coulomb-gcn", o=ds.num_descriptors,
