@@ -1,6 +1,6 @@
 """Dense tensors with reverse-mode differentiation, plus the neural
 building blocks used by the model: linear maps, SELU, layer normalization,
-masked softmax attention, and a pre-norm transformer encoder block.
+softmax attention, and a pre-norm transformer encoder block.
 
 Everything runs in double precision. Operations never mutate their inputs;
 ``backward`` accumulates gradients additively into the reachable leaves, so
@@ -19,8 +19,6 @@ from .errors import ShapeError
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
-
-_MASK_NEG = -1e30  # additive logit for masked attention keys
 
 
 class Tensor:
@@ -388,12 +386,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return add(mul(div(centered, std), gain), bias)
 
 
-def softmax_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
-    """Scaled dot-product attention over the second-last axis.
-
-    ``mask`` flags valid rows; masked rows are excluded as keys (their
-    logits are driven to -inf) and produce all-zero outputs as queries.
-    """
+def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention over the second-last axis: every row
+    attends to every row."""
     d_k = q.values.shape[-1]
     if d_k == 0:
         raise ShapeError("attention requires d_k >= 1")
@@ -401,13 +396,8 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tens
         raise ShapeError(
             f"attention row counts differ: Q {q.shape}, K {k.shape}, V {v.shape}"
         )
-    mask = np.asarray(mask, dtype=bool)
-    key_bias = constant(np.where(mask, 0.0, _MASK_NEG)[..., None, :])
-    query_gate = constant(mask.astype(np.float64)[..., :, None])
-
     scores = mul(matmul(q, transpose(k)), constant(1.0 / math.sqrt(d_k)))
-    weights = mul(softmax_last(add(scores, key_bias)), query_gate)
-    return matmul(weights, v)
+    return matmul(softmax_last(scores), v)
 
 
 @dataclass
@@ -433,29 +423,20 @@ class TransformerBlockParams:
     ffn_b2: Tensor
 
 
-def transformer_block(x: Tensor, mask: np.ndarray,
-                      params: TransformerBlockParams) -> Tensor:
-    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.)).
-
-    Both residual branches are gated by the row mask, so masked (padded)
-    rows pass through unchanged; zero-padded inputs stay exactly zero.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    gate = constant(mask.astype(np.float64)[..., :, None])
-
+def transformer_block(x: Tensor, params: TransformerBlockParams) -> Tensor:
+    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.))."""
     h = layer_norm(x, params.ln1_gain, params.ln1_bias)
     attended = softmax_attention(
         linear(h, params.wq, params.bq),
         linear(h, params.wk, params.bk),
         linear(h, params.wv, params.bv),
-        mask,
     )
-    x = add(x, mul(linear(attended, params.wo, params.bo), gate))
+    x = add(x, linear(attended, params.wo, params.bo))
 
     h = layer_norm(x, params.ln2_gain, params.ln2_bias)
     ff = linear(selu(linear(h, params.ffn_w1, params.ffn_b1)),
                 params.ffn_w2, params.ffn_b2)
-    return add(x, mul(ff, gate))
+    return add(x, ff)
 
 
 # ---------------------------------------------------------------------------

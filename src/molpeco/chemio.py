@@ -132,7 +132,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/validation/test index lists covering a dataset."""
+    """Disjoint train/validation/test index lists covering a dataset.
+
+    ``load_split`` checks that a split file keeps this contract; a Split
+    built in memory is taken as it is.
+    """
 
     train: tuple[int, ...]
     val: tuple[int, ...]
@@ -468,11 +472,20 @@ def save_split(split: Split, path) -> None:
         handle.write("\n")
 
 
-def load_split(path) -> Split:
+def load_split(path, size: int) -> Split:
+    """Read a split file written for a dataset of ``size`` molecules. Its
+    parts must hold integers only and cover range(size) exactly once."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     try:
-        return Split(tuple(payload["train"]), tuple(payload["val"]),
-                     tuple(payload["test"]), int(payload["seed"]))
+        split = Split(tuple(payload["train"]), tuple(payload["val"]),
+                      tuple(payload["test"]), int(payload["seed"]))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"invalid split file '{path}': {exc}") from exc
+    indices = [i for part in split.parts().values() for i in part]
+    if not all(type(i) is int for i in indices):
+        raise DataError(f"split file '{path}' holds indices that are not integers")
+    if sorted(indices) != list(range(size)):
+        raise DataError(f"split file '{path}' does not cover the dataset's {size} "
+                        "molecules exactly once; re-run split")
+    return split

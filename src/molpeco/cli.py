@@ -107,7 +107,7 @@ def cmd_split(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     ds = _load_dataset(config, cleaned=True)
-    split = chemio.load_split(config.split_path)
+    split = chemio.load_split(config.split_path, len(ds))
     features = _load_features(config)
     model_cfg, result = _train_once(config, ds, split, features)
 
@@ -139,7 +139,7 @@ def _load_part(config: RunConfig, part: str):
     cache, the output directory and the model restored from its
     checkpoint."""
     ds = _load_dataset(config, cleaned=True)
-    split = chemio.load_split(config.split_path)
+    split = chemio.load_split(config.split_path, len(ds))
     features = _load_features(config)
     indices = split.parts().get(part)
     if indices is None:
@@ -174,7 +174,7 @@ def cmd_sweep(config: RunConfig, depths, variants) -> int:
     if depths and variants:
         raise UsageError("sweep takes either --depths or --variants, not both")
     ds = _load_dataset(config, cleaned=True)
-    split = chemio.load_split(config.split_path)
+    split = chemio.load_split(config.split_path, len(ds))
     axis = "transformer_layers" if depths else "variant"
     cached = _load_features(config) if depths else None
     rows = []

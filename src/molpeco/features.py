@@ -181,8 +181,8 @@ def eig_symmetric(mat: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix by LAPACK
     (``numpy.linalg.eigh``).
 
-    Eigenvalues come back ascending with orthonormal, sign-fixed
-    eigenvector columns. A LAPACK failure (for example on a NaN input)
+    Eigenvalues come back ascending, as ``eigh`` returns them, with
+    orthonormal, sign-fixed eigenvector columns. A LAPACK failure (for example on a NaN input)
     raises ConvergenceError.
     """
     _check_symmetric(mat, 1e-10, "eigensolver input")
@@ -191,30 +191,23 @@ def eig_symmetric(mat: np.ndarray) -> Spectrum:
         eigenvalues, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = _fix_signs(v[:, order])
+    vectors = _fix_signs(v)
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
     return Spectrum(eigenvalues, vectors)
 
 
-def lpe_input(spectrum: Spectrum, p: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """The p lowest spectral pairs of every atom, feeding the positional
-    encoder. The trivial eigenvalue is included.
+def lpe_input(spectrum: Spectrum, p: int = 20) -> np.ndarray:
+    """The min(p, n) lowest spectral pairs of every atom, feeding the
+    positional encoder. The trivial eigenvalue is included.
 
-    Returns ``pairs`` of shape (n, p, 2), where ``pairs[a, k]`` is
-    (eigenvalue k, component a of eigenvector k), and ``mask`` of shape
-    (n, p), True on valid pairs. When the molecule has fewer than p
-    spectral pairs, the padded pairs are zero with mask False.
+    Returns an (n, min(p, n), 2) array whose entry ``[a, k]`` is
+    (eigenvalue k, component a of eigenvector k). A molecule with fewer
+    than p atoms has only its n real pairs; nothing is padded.
     """
     k = min(p, spectrum.n)
-    pairs = np.zeros((spectrum.n, p, 2), dtype=np.float64)
-    mask = np.zeros((spectrum.n, p), dtype=bool)
-    pairs[:, :k, 0] = spectrum.eigenvalues[:k]
-    pairs[:, :k, 1] = spectrum.eigenvectors[:, :k]
-    mask[:, :k] = True
-    return pairs, mask
+    values = np.broadcast_to(spectrum.eigenvalues[:k], (spectrum.n, k))
+    return np.stack([values, spectrum.eigenvectors[:, :k]], axis=-1)
 
 
 # ---------------------------------------------------------------------------

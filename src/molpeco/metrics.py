@@ -30,18 +30,18 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels.astype(np.int64)
 
 
+def _run_ends(values: np.ndarray) -> np.ndarray:
+    """Index of the last element of every run of equal adjacent values."""
+    return np.flatnonzero(np.append(values[1:] != values[:-1], True))
+
+
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the average of their rank range."""
     order = np.argsort(scores, kind="stable")
+    ends = _run_ends(scores[order])
+    starts = np.append(0, ends[:-1] + 1)
     ranks = np.empty(scores.shape[0], dtype=np.float64)
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -67,26 +67,13 @@ def pr_auc(scores, labels) -> float:
     if n_pos == 0:
         raise UndefinedMetricError("AUPRC undefined without positives")
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    area = 0.0
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_labels[i:j + 1].sum())
-        seen += j - i + 1
-        recall = tp / n_pos
-        precision = tp / seen
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return area
+    ends = _run_ends(scores[order])
+    tp = np.cumsum(labels[order])[ends]
+    recall = tp / n_pos
+    precision = tp / (ends + 1)
+    # cumsum adds left to right, as the stepwise definition does; np.sum
+    # would add the terms pairwise and round differently
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 class ConfusionMetrics(NamedTuple):

@@ -168,16 +168,15 @@ def atom_init_embedding(atomic_numbers: np.ndarray, model: MolPecoModel) -> Tens
 
 
 def lpe_forward(spectrum: Spectrum, model: MolPecoModel) -> Tensor:
-    """Per-atom learned positional encoding from the p lowest spectral
-    pairs: linear lift to width d, a transformer over the pairs (padding
-    masked), then a column sum over the pair axis."""
+    """Per-atom learned positional encoding from each atom's min(p, n)
+    lowest spectral pairs: linear lift to width d, a transformer over the
+    pairs, then a column sum over the pair axis."""
     config = model.config
     if not config.uses_lpe or model.lpe_w0 is None:
         raise DataError(f"variant '{config.variant}' has no positional encoder")
-    pairs, mask = lpe_input(spectrum, config.p)
-    h = ad.matmul(ad.constant(pairs), model.lpe_w0)
+    h = ad.matmul(ad.constant(lpe_input(spectrum, config.p)), model.lpe_w0)
     for block in model.lpe_blocks:
-        h = ad.transformer_block(h, mask, block)
+        h = ad.transformer_block(h, block)
     return h.sum(axis=-2)
 
 

@@ -242,7 +242,7 @@ class TestSoftmaxAttention:
         q = Tensor(rng.normal(size=(1, 4)))
         k = Tensor(rng.normal(size=(1, 4)))
         v = Tensor(rng.normal(size=(1, 4)))
-        out = ad.softmax_attention(q, k, v, np.array([True]))
+        out = ad.softmax_attention(q, k, v)
         np.testing.assert_allclose(out.values, v.values, rtol=0, atol=1e-15)
 
     def test_identical_keys_average_v(self):
@@ -250,30 +250,9 @@ class TestSoftmaxAttention:
         q = Tensor(rng.normal(size=(3, 4)))
         k = Tensor(np.tile(rng.normal(size=(1, 4)), (3, 1)))
         v = Tensor(rng.normal(size=(3, 4)))
-        out = ad.softmax_attention(q, k, v, np.ones(3, dtype=bool))
+        out = ad.softmax_attention(q, k, v)
         expected = np.tile(v.values.mean(axis=0), (3, 1))
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
-
-    def test_fully_masked_outputs_zero(self):
-        rng = np.random.default_rng(15)
-        q = Tensor(rng.normal(size=(3, 4)))
-        out = ad.softmax_attention(q, q, q, np.zeros(3, dtype=bool))
-        assert np.array_equal(out.values, np.zeros((3, 4)))
-
-    def test_masked_keys_excluded(self):
-        rng = np.random.default_rng(16)
-        q = Tensor(rng.normal(size=(3, 4)))
-        k = Tensor(rng.normal(size=(3, 4)))
-        v_values = rng.normal(size=(3, 4))
-        mask = np.array([True, True, False])
-        out = ad.softmax_attention(q, k, Tensor(v_values), mask)
-        # row 2 of V must not influence unmasked outputs
-        v_changed = v_values.copy()
-        v_changed[2] += 100.0
-        out_changed = ad.softmax_attention(q, k, Tensor(v_changed), mask)
-        np.testing.assert_allclose(out.values[:2], out_changed.values[:2],
-                                   rtol=0, atol=1e-12)
-        assert np.array_equal(out.values[2], np.zeros(4))
 
 
 def make_block_params(rng, d, zero_outputs=False):
@@ -300,44 +279,32 @@ class TestTransformerBlock:
         rng = np.random.default_rng(17)
         params = make_block_params(rng, 4, zero_outputs=True)
         x_values = rng.normal(size=(5, 4))
-        out = ad.transformer_block(Tensor(x_values), np.ones(5, dtype=bool), params)
+        out = ad.transformer_block(Tensor(x_values), params)
         np.testing.assert_allclose(out.values, x_values, rtol=0, atol=1e-15)
 
     def test_output_shape_preserved(self):
         rng = np.random.default_rng(18)
         params = make_block_params(rng, 8)
-        out = ad.transformer_block(Tensor(rng.normal(size=(6, 8))),
-                                   np.ones(6, dtype=bool), params)
+        out = ad.transformer_block(Tensor(rng.normal(size=(6, 8))), params)
         assert out.values.shape == (6, 8)
 
-    def test_masked_rows_pass_through_as_zeros(self):
-        rng = np.random.default_rng(19)
-        params = make_block_params(rng, 4)
-        x_values = rng.normal(size=(5, 4))
-        x_values[3:] = 0.0
-        mask = np.array([True, True, True, False, False])
-        out = ad.transformer_block(Tensor(x_values), mask, params)
-        assert np.array_equal(out.values[3:], np.zeros((2, 4)))
-
     def test_gradient_through_stacked_blocks(self):
-        # end-to-end check through 4 blocks at p=5, d=8
+        # end-to-end check through 4 blocks on 4 rows, d=8
         rng = np.random.default_rng(20)
-        d, p = 8, 5
+        d, rows = 8, 4
         blocks = [make_block_params(rng, d) for _ in range(4)]
-        mask = np.array([True, True, True, True, False])
-        x_values = rng.normal(size=(p, d))
-        x_values[~mask] = 0.0
-        weights = rng.normal(size=(p, d))
+        x_values = rng.normal(size=(rows, d))
+        weights = rng.normal(size=(rows, d))
 
         def run(v):
             h = Tensor(v)
             for block in blocks:
-                h = ad.transformer_block(h, mask, block)
+                h = ad.transformer_block(h, block)
             return float((h.values * weights).sum())
 
         x = Tensor(x_values, requires_grad=True)
         h = x
         for block in blocks:
-            h = ad.transformer_block(h, mask, block)
+            h = ad.transformer_block(h, block)
         ad.backward(ad.mul(h, Tensor(weights)).sum())
         assert_grad_close(x.grad, finite_difference_grad(run, x_values), tol=1e-4)

@@ -231,4 +231,12 @@ class TestStratifiedSplit:
         ds = multilabel_set(np.random.default_rng(3), count=50)
         split = stratified_split(ds, (0.8, 0.1, 0.1), seed=9)
         save_split(split, tmp_path / "split.json")
-        assert load_split(tmp_path / "split.json") == split
+        assert load_split(tmp_path / "split.json", 50) == split
+
+    @pytest.mark.parametrize("entry", [1.0, True, "1"])
+    def test_split_file_with_non_integer_index_rejected(self, tmp_path, entry):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"seed": 0, "train": [0, entry], "val": [2],
+                                    "test": [3]}), encoding="utf-8")
+        with pytest.raises(DataError, match="not integers"):
+            load_split(path, 4)

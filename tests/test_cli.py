@@ -206,6 +206,23 @@ class TestExitCodes:
         assert metadata["epoch"] == 1
         assert (tmp_path / "out" / "history.csv").exists()
 
+    @pytest.mark.parametrize("fault", ["negative", "out_of_range", "overlapping"])
+    def test_split_file_not_covering_dataset_is_data_error(self, workspace, fault):
+        tmp_path, config_path, _ = workspace
+        for command in (["featurize"], ["split"], ["train"]):
+            assert run_cli(*command, "--config", config_path) == 0
+        split_path = tmp_path / "split.json"
+        parts = json.loads(split_path.read_text())
+        if fault == "negative":
+            parts["test"][0] -= 20  # the same molecule, counted from the end
+        elif fault == "out_of_range":
+            parts["test"][0] = 20
+        else:
+            parts["test"].append(parts["train"][0])
+        split_path.write_text(json.dumps(parts), encoding="utf-8")
+        assert run_cli("eval", "--config", config_path, "--part", "test") == 3
+        assert run_cli("embed", "--config", config_path, "--part", "test") == 3
+
     def test_unknown_retrieve_id(self, workspace):
         tmp_path, config_path, _ = workspace
         for command in (["featurize"], ["split"], ["train"], ["embed", "--part", "val"]):

@@ -453,17 +453,17 @@ class TestLPEInput:
         return eig_symmetric(sym_normalized_laplacian(x))
 
     def test_padding_beyond_molecule_size(self):
+        # a molecule with fewer atoms than p gets its n real pairs, no padding
         spec = self._path_spectrum(2)
-        pairs, mask = lpe_input(spec, p=20)
-        assert pairs.shape == (2, 20, 2) and mask.shape == (2, 20)
-        assert mask[:, :2].all() and not mask[:, 2:].any()
-        assert np.all(pairs[:, 2:] == 0.0)
-        assert np.array_equal(pairs[:, :2, 1], spec.eigenvectors)
+        pairs = lpe_input(spec, p=20)
+        assert pairs.shape == (2, 2, 2)
+        assert np.array_equal(pairs[:, :, 0], np.tile(spec.eigenvalues, (2, 1)))
+        assert np.array_equal(pairs[:, :, 1], spec.eigenvectors)
 
     def test_single_pair(self):
         spec = self._path_spectrum(3)
-        pairs, mask = lpe_input(spec, p=1)
-        assert pairs.shape == (3, 1, 2) and mask.all()
+        pairs = lpe_input(spec, p=1)
+        assert pairs.shape == (3, 1, 2)
         assert np.all(pairs[:, 0, 0] == spec.eigenvalues[0])
         assert np.array_equal(pairs[:, 0, 1], spec.eigenvectors[:, 0])
 

@@ -5,6 +5,7 @@ import pytest
 
 from molpeco.errors import UndefinedMetricError
 from molpeco.metrics import (
+    _average_ranks,
     balanced_accuracy,
     confusion_metrics,
     eval_report,
@@ -110,6 +111,17 @@ class TestRocAuc:
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.1, 0.9], [1, 1])
 
+    def test_average_ranks_match_counting_oracle_exactly(self):
+        # rank = 1 + (scores below) + (other scores tied) / 2, ties and
+        # infinities included
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            scores = rng.choice([-np.inf, -1.0, 0.0, 0.25, 0.5, np.inf], size=n)
+            below = (scores[None, :] < scores[:, None]).sum(axis=1)
+            tied = (scores[None, :] == scores[:, None]).sum(axis=1) - 1
+            assert np.array_equal(_average_ranks(scores), 1.0 + below + 0.5 * tied)
+
 
 class TestPrAuc:
     def test_perfect_ranking_single_positive(self):
@@ -127,6 +139,15 @@ class TestPrAuc:
                 labels[0] = 1
             expected = pr_auc_threshold_oracle(scores, labels)
             assert abs(pr_auc(scores, labels) - expected) <= 1e-12
+
+    def test_sums_the_oracle_terms_in_the_same_order(self):
+        # same terms, summed left to right: equal to the oracle bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            scores = rng.integers(0, 8, size=60) / 8.0
+            labels = rng.integers(0, 2, size=60)
+            labels[0] = 1
+            assert pr_auc(scores, labels) == pr_auc_threshold_oracle(scores, labels)
 
     def test_no_positives_undefined(self):
         with pytest.raises(UndefinedMetricError):

@@ -88,6 +88,22 @@ class TestLPEForward:
         assert np.max(np.abs(out.values - out_flipped.values)) > 1e-6
 
 
+    def test_molecule_smaller_than_p_ignores_p(self):
+        # only the molecule's n real pairs enter, so every p >= n gives the
+        # same encoding, bit for bit
+        rng = np.random.default_rng(11)
+        for n in range(6, 20):
+            mol = organic_molecule(rng, "m", n)
+            spec = featurize_molecule(mol, "mol-peco-asym").spectrum
+            assert spec.n == n
+            outs = []
+            for p in (n, n + 1, 20, 64):
+                config = small_config("mol-peco-asym", d=32, p=p, transformer_layers=2)
+                outs.append(lpe_forward(spec, MolPecoModel(config, seed=0)).values)
+            for out in outs[1:]:
+                assert np.array_equal(out, outs[0]), n
+
+
 class TestGCNForward:
     def test_residual_identity(self):
         model = MolPecoModel(small_config(variant="coulomb-gcn"), seed=0)
