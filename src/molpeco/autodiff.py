@@ -99,7 +99,6 @@ class Parameter:
 
     name: str
     tensor: Tensor
-    trainable: bool = True
 
 
 def _as_tensor(x) -> Tensor:

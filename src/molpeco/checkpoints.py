@@ -1,14 +1,22 @@
-"""Binary parameter checkpoints (magic "MPCK0001").
+"""Artifact files: every file the program writes goes through this module.
 
-Layout: magic, u32 little-endian JSON metadata length, canonical JSON
-metadata, u32 parameter count, then per parameter: u32 name length + UTF-8
-name, u32 ndim, u32 dims, and the float64 little-endian payload. Parameters
-are written sorted by name, so identical states serialize byte-identically.
+``replacing(path)`` is the one write path: it writes ``<path>.tmp`` and
+moves it over ``path`` with ``os.replace``, so a failed or killed write
+leaves ``path`` as it was. ``write_arrays`` / ``read_arrays`` hold the one
+binary layout, used by checkpoints ("MPCK0001") and the feature cache
+("MPEC0002"): magic, u32 little-endian JSON header length, canonical JSON
+header, u32 array count, then per array sorted by name (so identical
+contents serialize byte-identically): u32 name length + UTF-8 name, u32
+ndim, u32 dims, float64 little-endian payload. ``write_csv`` writes every
+CSV table.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -18,47 +26,96 @@ from .errors import DataError
 CHECKPOINT_MAGIC = b"MPCK0001"
 
 
-def save_checkpoint(path, state: dict[str, np.ndarray], metadata: dict) -> None:
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """A handle on ``<path>.tmp`` (UTF-8 text unless ``mode`` is binary)
+    that replaces ``path`` if the block exits cleanly and is removed
+    otherwise."""
+    tmp = os.fspath(path) + ".tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode, **text) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_arrays(path, magic: bytes, arrays: dict[str, np.ndarray], metadata: dict) -> None:
     meta_bytes = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
+    with replacing(path, "wb") as handle:
+        handle.write(magic)
         handle.write(struct.pack("<I", len(meta_bytes)))
         handle.write(meta_bytes)
-        handle.write(struct.pack("<I", len(state)))
-        for name in sorted(state):
-            values = np.ascontiguousarray(state[name], dtype="<f8")
+        handle.write(struct.pack("<I", len(arrays)))
+        for name in sorted(arrays):
+            values = np.ascontiguousarray(arrays[name], dtype="<f8")
             name_bytes = name.encode("utf-8")
             handle.write(struct.pack("<I", len(name_bytes)))
             handle.write(name_bytes)
-            handle.write(struct.pack("<I", values.ndim))
-            handle.write(struct.pack(f"<{values.ndim}I", *values.shape))
+            handle.write(struct.pack(f"<I{values.ndim}I", values.ndim, *values.shape))
             handle.write(values.tobytes())
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+def read_arrays(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, name -> array) of a file written by ``write_arrays``.
+    Raises DataError, naming the file as a ``what``, on a wrong magic, a
+    truncated or undecodable file, or bytes after the last array."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise DataError(f"'{path}' is not a parameter checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
+    if blob[: len(magic)] != magic:
+        raise DataError(f"'{path}' is not a {what} (bad magic {blob[:len(magic)]!r})")
+    offset = len(magic)
 
     def take(count: int) -> bytes:
         nonlocal offset
         if offset + count > len(blob):
-            raise DataError(f"checkpoint '{path}' is truncated")
+            raise DataError(f"{what} '{path}' is truncated")
         chunk = blob[offset:offset + count]
         offset += count
         return chunk
 
-    (meta_len,) = struct.unpack("<I", take(4))
-    metadata = json.loads(take(meta_len).decode("utf-8"))
-    (count,) = struct.unpack("<I", take(4))
-    state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        state[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
-    return metadata, state
+    try:
+        (meta_len,) = struct.unpack("<I", take(4))
+        metadata = json.loads(take(meta_len).decode("utf-8"))
+        (count,) = struct.unpack("<I", take(4))
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            payload = take(8 * math.prod(shape))
+            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    except ValueError as exc:  # undecodable UTF-8 or JSON
+        raise DataError(f"{what} '{path}' is corrupt: {exc}") from exc
+    if offset != len(blob):
+        raise DataError(f"{what} '{path}' has {len(blob) - offset} bytes after its last array")
+    return metadata, arrays
+
+
+def save_checkpoint(path, state: dict[str, np.ndarray], metadata: dict) -> None:
+    write_arrays(path, CHECKPOINT_MAGIC, state, metadata)
+
+
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    return read_arrays(path, CHECKPOINT_MAGIC, "parameter checkpoint")
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_csv(path, config_hash: str, header, rows) -> None:
+    """A CSV table tagged with the configuration hash. A cell is empty for
+    None, ``repr(float(x))`` for a float (exact round trip) and ``str(x)``
+    otherwise."""
+    with replacing(path) as handle:
+        handle.write(f"# config_hash={config_hash}\n")
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(_cell(value) for value in row) + "\n")

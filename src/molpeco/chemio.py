@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .checkpoints import replacing
 from .errors import ConflictError, DataError, ParseError
 
 DEFAULT_MAX_ATOMS = 80
@@ -34,7 +35,6 @@ _ELEMENT_SYMBOLS = (
 ).split()
 
 SYMBOL_TO_Z = {symbol: z for z, symbol in enumerate(_ELEMENT_SYMBOLS, start=1)}
-Z_TO_SYMBOL = {z: symbol for symbol, z in SYMBOL_TO_Z.items()}
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,6 @@ class LabelVocabulary:
 
     def __len__(self) -> int:
         return len(self.descriptors)
-
-    def index(self, name: str) -> int:
-        return self.descriptors.index(name)
 
 
 class Dataset:
@@ -237,7 +234,7 @@ def parse_molecules(path, max_atoms: int = DEFAULT_MAX_ATOMS) -> Dataset:
 
 def serialize_molecules(ds: Dataset, path) -> None:
     """Write a Dataset back to JSONL; parse(serialize(ds)) reproduces ds."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with replacing(path) as handle:
         for mol in ds.molecules:
             record: dict = {
                 "id": mol.id,
@@ -467,7 +464,7 @@ def stratified_split(ds: Dataset, fractions: tuple[float, float, float] = (0.8, 
 def save_split(split: Split, path) -> None:
     payload = {"seed": split.seed, "train": list(split.train),
                "val": list(split.val), "test": list(split.test)}
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with replacing(path) as handle:
         json.dump(payload, handle)
         handle.write("\n")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chemio
-from .checkpoints import load_checkpoint, save_checkpoint
+from .checkpoints import load_checkpoint, replacing, save_checkpoint, write_csv
 from .config import RunConfig, UsageError, apply_overrides, load_config
 from .errors import DataError, MolpecoError, NumericError
 from .features import featurize_molecule, read_feature_cache, write_feature_cache
@@ -122,8 +122,8 @@ def cmd_train(config: RunConfig) -> int:
         "diverged": result.diverged,
     }
     save_checkpoint(out / "checkpoint.bin", result.best_state, metadata)
-    (out / "history.csv").write_text(result.history_csv(config.config_hash()),
-                                     encoding="utf-8")
+    write_csv(out / "history.csv", config.config_hash(),
+              ("epoch", "train_loss", "val_loss", "val_auroc"), map(dict.values, result.history))
     best_auroc = (result.history[result.best_epoch - 1]["val_auroc"]
                   if result.history else float("nan"))
     print(f"best epoch {result.best_epoch}: val_loss={result.best_val_loss!r} "
@@ -158,10 +158,11 @@ def _load_part(config: RunConfig, part: str):
 def cmd_eval(config: RunConfig, part: str) -> int:
     ds, indices, features, out, model = _load_part(config, part)
     report = evaluate(model, ds, indices, features, config.threshold)
-    (out / f"report_{part}.json").write_text(report.to_json(config.config_hash()) + "\n",
-                                             encoding="utf-8")
-    (out / f"report_{part}.csv").write_text(report.to_csv(config.config_hash()),
-                                            encoding="utf-8")
+    with replacing(out / f"report_{part}.json") as handle:
+        handle.write(report.to_json(config.config_hash()) + "\n")
+    rows = [*report.per_descriptor.items(), ("macro", report.macro)]
+    write_csv(out / f"report_{part}.csv", config.config_hash(), ("descriptor", *METRIC_NAMES),
+              ([name, *map(metrics.get, METRIC_NAMES)] for name, metrics in rows))
     macro = {name: report.macro[name] for name in METRIC_NAMES}
     print(f"{part} macro: " + " ".join(f"{k}={v!r}" for k, v in macro.items())
           + f" [config {config.config_hash()}]")
@@ -193,13 +194,8 @@ def cmd_sweep(config: RunConfig, depths, variants) -> int:
         report = evaluate(model, ds, split.val, features, config.threshold)
         rows.append((value, report.macro))
     out = _out_dir(config)
-    lines = [f"# config_hash={config.config_hash()}",
-             axis + "," + ",".join(METRIC_NAMES)]
-    for value, macro in rows:
-        cells = ["" if macro[name] is None else repr(float(macro[name]))
-                 for name in METRIC_NAMES]
-        lines.append(f"{value}," + ",".join(cells))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out / "sweep.csv", config.config_hash(), (axis, *METRIC_NAMES),
+              ([value, *map(macro.get, METRIC_NAMES)] for value, macro in rows))
     for value, macro in rows:
         print(f"{axis}={value}: auroc={macro['auroc']!r}")
     print(f"sweep -> {out / 'sweep.csv'} [config {config.config_hash()}]")
@@ -209,13 +205,10 @@ def cmd_sweep(config: RunConfig, depths, variants) -> int:
 def cmd_embed(config: RunConfig, part: str) -> int:
     ds, indices, features, out, model = _load_part(config, part)
     _, embeddings = predict(model, feature_list(ds, model.config, features, indices))
-    lines = [f"# config_hash={config.config_hash()}",
-             "id," + ",".join(f"e{i}" for i in range(model.config.d))]
-    for idx, embedding in zip(indices, embeddings):
-        values = ",".join(repr(float(v)) for v in embedding)
-        lines.append(f"{ds.molecules[idx].id},{values}")
     path = out / f"embeddings_{part}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["id", *(f"e{i}" for i in range(model.config.d))]
+    write_csv(path, config.config_hash(), header,
+              ([ds.molecules[idx].id, *row] for idx, row in zip(indices, embeddings)))
     print(f"wrote {len(indices)} embeddings -> {path} [config {config.config_hash()}]")
     return 0
 
@@ -352,7 +345,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except MolpecoError as exc:

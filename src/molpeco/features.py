@@ -3,19 +3,19 @@
 Covers the adjacency matrix, the Coulomb matrix with Frobenius / minmax
 normalization, weighted graph Laplacians, a LAPACK symmetric eigensolver
 with deterministic sign conventions, and the positional-encoding input
-built from the lowest spectral pairs. Also owns the binary featurization
-cache (magic "MPEC0001") written by the CLI.
+built from the lowest spectral pairs. Also maps the featurization cache
+the CLI writes onto the array layout of ``checkpoints`` (magic
+"MPEC0002"); a cache from before that layout ("MPEC0001") is rejected.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .checkpoints import read_arrays, write_arrays
 from .chemio import Molecule
 from .errors import ConvergenceError, DataError, GeometryError, ShapeError
 
@@ -23,7 +23,9 @@ BOHR_PER_ANGSTROM = 1.8897259886
 NORM_EPSILON = 1e-9
 MIN_ATOM_DISTANCE = 1e-6  # Angstrom; closer pairs are degenerate geometry
 
-CACHE_MAGIC = b"MPEC0001"
+CACHE_MAGIC = b"MPEC0002"
+_PLAIN_ARRAYS = {"matrix", "z"}
+_SPECTRAL_ARRAYS = {"matrix", "z", "eigenvalues", "eigenvectors"}
 
 NORMALIZATIONS = ("frobenius", "minmax", "none")
 
@@ -254,70 +256,45 @@ def featurize_molecule(mol: Molecule, variant: str,
     return MolFeatures(mol.id, variant, z, matrix, spectrum)
 
 
-def _pack_array(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def write_feature_cache(path, features: list[MolFeatures], header: dict) -> None:
-    """Write the per-molecule feature cache.
-
-    Layout: magic, u32 little-endian JSON header length, canonical JSON
-    header, then per molecule: u32 id length + id bytes, u32 n, u8 spectrum
-    flag, n*n matrix doubles, and if flagged n eigenvalues followed by the
-    n*n eigenvector matrix (row-major, little-endian doubles).
-    """
-    header = dict(header)
-    header["count"] = len(features)
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(CACHE_MAGIC)
-        handle.write(struct.pack("<I", len(header_bytes)))
-        handle.write(header_bytes)
-        for feat in features:
-            id_bytes = feat.mol_id.encode("utf-8")
-            n = feat.matrix.shape[0]
-            handle.write(struct.pack("<I", len(id_bytes)))
-            handle.write(id_bytes)
-            handle.write(struct.pack("<IB", n, 1 if feat.spectrum is not None else 0))
-            handle.write(_pack_array(feat.matrix))
-            if feat.spectrum is not None:
-                handle.write(_pack_array(feat.spectrum.eigenvalues))
-                handle.write(_pack_array(feat.spectrum.eigenvectors))
-            handle.write(_pack_array(feat.atomic_numbers.astype(np.float64)))
+    """Write the feature cache: the header plus ``count``, and per molecule
+    the arrays ``<id>/matrix``, ``<id>/z`` (atomic numbers) and, for
+    spectral variants, ``<id>/eigenvalues`` and ``<id>/eigenvectors``."""
+    arrays = {}
+    for feat in features:
+        arrays[f"{feat.mol_id}/matrix"] = feat.matrix
+        arrays[f"{feat.mol_id}/z"] = feat.atomic_numbers
+        if feat.spectrum is not None:
+            arrays[f"{feat.mol_id}/eigenvalues"] = feat.spectrum.eigenvalues
+            arrays[f"{feat.mol_id}/eigenvectors"] = feat.spectrum.eigenvectors
+    write_arrays(path, CACHE_MAGIC, arrays, dict(header, count=len(features)))
 
 
 def read_feature_cache(path) -> tuple[dict, dict[str, MolFeatures]]:
-    """Read a feature cache, returning (header, id -> MolFeatures)."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise DataError(f"'{path}' is not a feature cache (bad magic)")
-    offset = len(CACHE_MAGIC)
-
-    def take(count: int) -> bytes:
-        nonlocal offset
-        if offset + count > len(blob):
-            raise DataError(f"feature cache '{path}' is truncated")
-        chunk = blob[offset:offset + count]
-        offset += count
-        return chunk
-
-    (header_len,) = struct.unpack("<I", take(4))
-    header = json.loads(take(header_len).decode("utf-8"))
+    """(header, id -> MolFeatures) of a feature cache. Any fault in the
+    file, or a cache in an older layout, raises DataError."""
+    try:
+        header, arrays = read_arrays(path, CACHE_MAGIC, "feature cache")
+    except DataError as exc:
+        raise DataError(f"{exc}; re-run featurize") from exc
+    parts: dict[str, dict[str, np.ndarray]] = {}
+    for name, values in arrays.items():
+        mol_id, _, field = name.rpartition("/")  # ids may contain "/"
+        parts.setdefault(mol_id, {})[field] = values
     kind = header.get("variant", "")
     features: dict[str, MolFeatures] = {}
-    for _ in range(header["count"]):
-        (id_len,) = struct.unpack("<I", take(4))
-        mol_id = take(id_len).decode("utf-8")
-        n, has_spectrum = struct.unpack("<IB", take(5))
-        matrix = np.frombuffer(take(8 * n * n), dtype="<f8").reshape(n, n).copy()
+    for mol_id, part in parts.items():
+        if set(part) not in (_PLAIN_ARRAYS, _SPECTRAL_ARRAYS):
+            raise DataError(f"feature cache '{path}': molecule '{mol_id}' has arrays "
+                            f"{sorted(part)}; re-run featurize")
         spectrum = None
-        if has_spectrum:
-            eigenvalues = np.frombuffer(take(8 * n), dtype="<f8").copy()
-            vectors = np.frombuffer(take(8 * n * n), dtype="<f8").reshape(n, n).copy()
-            eigenvalues.flags.writeable = False
-            vectors.flags.writeable = False
-            spectrum = Spectrum(eigenvalues, vectors)
-        z = np.frombuffer(take(8 * n), dtype="<f8").astype(np.int64)
-        features[mol_id] = MolFeatures(mol_id, kind, z, matrix, spectrum)
+        if "eigenvalues" in part:
+            part["eigenvalues"].flags.writeable = False
+            part["eigenvectors"].flags.writeable = False
+            spectrum = Spectrum(part["eigenvalues"], part["eigenvectors"])
+        features[mol_id] = MolFeatures(mol_id, kind, part["z"].astype(np.int64),
+                                       part["matrix"], spectrum)
+    if len(features) != header.get("count"):
+        raise DataError(f"feature cache '{path}' holds {len(features)} molecules, its "
+                        f"header says {header.get('count')}; re-run featurize")
     return header, features

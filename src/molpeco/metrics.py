@@ -127,21 +127,6 @@ class EvalReport:
         payload["threshold"] = self.threshold
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def to_csv(self, config_hash: Optional[str] = None) -> str:
-        lines = []
-        if config_hash is not None:
-            lines.append(f"# config_hash={config_hash}")
-        lines.append("descriptor," + ",".join(METRIC_NAMES))
-        rows = dict(self.per_descriptor)
-        rows["macro"] = self.macro
-        for descriptor, metrics in rows.items():
-            cells = [
-                "" if metrics[name] is None else repr(float(metrics[name]))
-                for name in METRIC_NAMES
-            ]
-            lines.append(descriptor + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def eval_report(score_matrix: np.ndarray, target_matrix: np.ndarray,
                 descriptors, threshold: float = 0.5) -> EvalReport:

@@ -85,7 +85,7 @@ class Adam:
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = [p for p in params if p.trainable]
+        self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -140,16 +140,6 @@ class TrainResult:
     best_val_loss: Optional[float]
     history: list[dict] = field(default_factory=list)
     diverged: bool = False
-
-    def history_csv(self, config_hash: Optional[str] = None) -> str:
-        lines = []
-        if config_hash is not None:
-            lines.append(f"# config_hash={config_hash}")
-        lines.append("epoch,train_loss,val_loss,val_auroc")
-        for row in self.history:
-            lines.append(f"{row['epoch']},{row['train_loss']!r},"
-                         f"{row['val_loss']!r},{row['val_auroc']!r}")
-        return "\n".join(lines) + "\n"
 
 
 def feature_list(dataset: Dataset, model_cfg: ModelConfig,

@@ -1,0 +1,222 @@
+"""The artifact layer: the shared binary array layout read strictly by
+both the checkpoint and the feature cache, the CSV writer, and writes
+that leave the previous file in place when they fail."""
+
+import errno
+import json
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from molpeco.checkpoints import (
+    load_checkpoint,
+    replacing,
+    save_checkpoint,
+    write_arrays,
+    write_csv,
+)
+from molpeco.errors import DataError
+from molpeco.features import (
+    CACHE_MAGIC,
+    MolFeatures,
+    featurize_molecule,
+    read_feature_cache,
+    write_feature_cache,
+)
+
+from synthdata import random_molecule
+
+
+class Exploding:
+    """A value whose conversion to an array or a CSV cell fails, as a
+    disk-full write would, after what comes before it is written."""
+
+    def __array__(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    __str__ = __array__
+
+
+def _write_checkpoint(path):
+    rng = np.random.default_rng(1)
+    save_checkpoint(path, {"a.w": rng.normal(size=(3, 2)), "b": rng.normal(size=4)},
+                    {"epoch": 2})
+
+
+def _write_cache(path):
+    rng = np.random.default_rng(2)
+    feats = [featurize_molecule(random_molecule(rng, f"m{i}"), "mol-peco-sym")
+             for i in range(2)]
+    write_feature_cache(path, feats, {"variant": "mol-peco-sym"})
+
+
+# (writer of a valid file, reader) for both files on the shared layout
+FILES = {"checkpoint": (_write_checkpoint, load_checkpoint),
+         "cache": (_write_cache, read_feature_cache)}
+
+
+def _header_end(blob: bytes) -> int:
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    return 12 + meta_len
+
+
+class TestStrictReads:
+    @pytest.fixture(params=sorted(FILES))
+    def written(self, request, tmp_path):
+        write, read = FILES[request.param]
+        path = tmp_path / "artifact.bin"
+        write(path)
+        return path, read
+
+    def test_round_trip_reads_clean(self, written):
+        path, read = written
+        read(path)
+
+    def test_trailing_bytes_rejected(self, written):
+        path, read = written
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataError, match="1 bytes after its last array"):
+            read(path)
+
+    @pytest.mark.parametrize("where", ["header", "name", "payload"])
+    def test_truncation_rejected(self, written, where):
+        path, read = written
+        blob = path.read_bytes()
+        end = _header_end(blob)
+        cut = {"header": end - 3,
+               "name": end + 4 + 4 + 1,  # count, name length, one name byte
+               "payload": len(blob) - 1}[where]
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError, match="truncated"):
+            read(path)
+
+    def test_corrupt_header_rejected(self, written):
+        path, read = written
+        blob = bytearray(path.read_bytes())
+        blob[12] = ord("[")  # the JSON header no longer parses
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="corrupt"):
+            read(path)
+
+    def test_bad_magic_rejected(self, written):
+        path, read = written
+        path.write_bytes(b"NOTMAGIC" + path.read_bytes()[8:])
+        with pytest.raises(DataError, match="bad magic"):
+            read(path)
+
+
+class TestFeatureCacheStructure:
+    def _matrix_z(self):
+        return {"m/matrix": np.eye(2), "m/z": np.array([1.0, 1.0])}
+
+    @pytest.mark.parametrize("drop", ["m/matrix", "m/z"])
+    def test_missing_matrix_or_z_rejected(self, tmp_path, drop):
+        arrays = self._matrix_z()
+        del arrays[drop]
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, {"count": 1})
+        with pytest.raises(DataError, match="molecule 'm' has arrays"):
+            read_feature_cache(tmp_path / "c.bin")
+
+    @pytest.mark.parametrize("half", ["eigenvalues", "eigenvectors"])
+    def test_half_a_spectrum_rejected(self, tmp_path, half):
+        arrays = dict(self._matrix_z(), **{f"m/{half}": np.eye(2)})
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, {"count": 1})
+        with pytest.raises(DataError, match="re-run featurize"):
+            read_feature_cache(tmp_path / "c.bin")
+
+    def test_count_mismatch_rejected(self, tmp_path):
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, self._matrix_z(), {"count": 2})
+        with pytest.raises(DataError, match="holds 1 molecules, its header says 2"):
+            read_feature_cache(tmp_path / "c.bin")
+
+    def test_previous_layout_asks_for_featurize(self, tmp_path):
+        header = json.dumps({"count": 0}).encode("utf-8")
+        path = tmp_path / "old.cache"
+        path.write_bytes(b"MPEC0001" + struct.pack("<I", len(header)) + header)
+        with pytest.raises(DataError, match=r"bad magic.*re-run featurize"):
+            read_feature_cache(path)
+
+    def test_checkpoint_is_not_a_cache(self, tmp_path):
+        _write_checkpoint(tmp_path / "ck.bin")
+        with pytest.raises(DataError, match="not a feature cache"):
+            read_feature_cache(tmp_path / "ck.bin")
+
+
+class TestFailedWriteKeepsPreviousFile:
+    def _assert_unchanged(self, path, before):
+        assert path.read_bytes() == before
+        assert not list(path.parent.glob("*.tmp"))
+
+    def test_checkpoint_survives_failing_array(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        _write_checkpoint(path)
+        before = path.read_bytes()
+        with pytest.raises(OSError):
+            save_checkpoint(path, {"a.w": np.ones((3, 2)), "z": Exploding()}, {"epoch": 9})
+        self._assert_unchanged(path, before)
+        load_checkpoint(path)
+
+    def test_cache_survives_failing_array(self, tmp_path):
+        path = tmp_path / "features.cache"
+        _write_cache(path)
+        before = path.read_bytes()
+        good = featurize_molecule(random_molecule(np.random.default_rng(3), "a"),
+                                  "coulomb-gcn")
+        bad = MolFeatures("b", "coulomb-gcn", good.atomic_numbers, Exploding())
+        with pytest.raises(OSError):
+            write_feature_cache(path, [good, bad], {"variant": "coulomb-gcn"})
+        self._assert_unchanged(path, before)
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_failing_replace_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        write, _ = FILES[name]
+        path = tmp_path / "artifact.bin"
+        write(path)
+        before = path.read_bytes()
+
+        def no_replace(src, dst):
+            raise OSError(errno.EIO, "replace failed")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            write(path)
+        self._assert_unchanged(path, before)
+
+    def test_text_block_error_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with replacing(path) as handle:
+                handle.write("half")
+                raise RuntimeError("interrupted")
+        self._assert_unchanged(path, b"old\n")
+
+    def test_new_file_not_created_on_error(self, tmp_path):
+        path = tmp_path / "fresh.csv"
+        with pytest.raises(OSError):
+            write_csv(path, "h", ["a"], [[Exploding()]])
+        assert not path.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestWriteCsv:
+    def test_cells_and_exact_float_round_trip(self, tmp_path):
+        third = 1.0 / 3.0
+        tiny = np.float64(5e-324)
+        write_csv(tmp_path / "t.csv", "cafe", ["name", "a", "b", "c", "d"],
+                  [["x", None, third, tiny, 7], ["y", 0.1, -0.0, np.float64(1e300), -2]])
+        lines = (tmp_path / "t.csv").read_bytes().decode("utf-8").split("\n")
+        assert lines[0] == "# config_hash=cafe"
+        assert lines[1] == "name,a,b,c,d"
+        assert lines[2] == f"x,,{third!r},5e-324,7"
+        assert lines[3] == "y,0.1,-0.0,1e+300,-2"
+        assert lines[4] == ""  # every line, the last included, ends in "\n"
+        cells = lines[2].split(",")
+        assert float(cells[2]) == third and float(cells[3]) == tiny
+        assert np.float64(float(lines[3].split(",")[3])) == np.float64(1e300)
+
+    def test_header_only_when_no_rows(self, tmp_path):
+        write_csv(tmp_path / "h.csv", "0", ("epoch", "train_loss"), [])
+        assert (tmp_path / "h.csv").read_text() == "# config_hash=0\nepoch,train_loss\n"

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: artifact generation, exit codes,
 cache validation, and reproducibility."""
 
+import errno
 import json
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from molpeco import train
+from molpeco import cli, train
 from molpeco.checkpoints import load_checkpoint
 from molpeco.chemio import serialize_molecules
 from molpeco.cli import cosine_similarity, main, read_embeddings, retrieve_neighbors
+from molpeco.metrics import METRIC_NAMES
 
 from synthdata import structure_labeled_set
 
@@ -66,6 +68,12 @@ class TestPipeline:
         assert len(history) == 2 + config["max_epochs"]
         report = json.loads((out / "report_val.json").read_text())
         assert "macro" in report and "config_hash" in report
+        report_csv = (out / "report_val.csv").read_text().strip().split("\n")
+        assert report_csv[0] == history[0]
+        assert report_csv[1] == "descriptor," + ",".join(METRIC_NAMES)
+        assert report_csv[-1].startswith("macro,")
+        assert len(report_csv) == 2 + len(report) - 3 + 1  # descriptors and macro
+        assert not list(tmp_path.rglob("*.tmp"))
 
         embeddings = read_embeddings(out / "embeddings_val.csv")
         assert all(vec.shape == (8,) for vec in embeddings.values())
@@ -158,6 +166,43 @@ class TestExitCodes:
         }) + "\n", encoding="utf-8")
         assert run_cli("featurize", "--data", data,
                        "--cache", tmp_path / "c.bin") == 3
+
+    def test_cache_in_previous_layout_is_data_error(self, workspace, capsys):
+        tmp_path, config_path, _ = workspace
+        assert run_cli("featurize", "--config", config_path) == 0
+        assert run_cli("split", "--config", config_path) == 0
+        cache = tmp_path / "features.cache"
+        cache.write_bytes(b"MPEC0001" + cache.read_bytes()[8:])
+        capsys.readouterr()
+        assert run_cli("train", "--config", config_path) == 3
+        assert "re-run featurize" in capsys.readouterr().err
+
+    def test_failed_checkpoint_write_keeps_previous_checkpoint(self, workspace,
+                                                               monkeypatch):
+        tmp_path, config_path, _ = workspace
+        for command in ("featurize", "split", "train"):
+            assert run_cli(command, "--config", config_path) == 0
+        out = tmp_path / "out"
+        before = {name: (out / name).read_bytes()
+                  for name in ("checkpoint.bin", "history.csv")}
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        class FailingArray:
+            __array__ = full_disk
+
+        real_save = cli.save_checkpoint
+
+        def failing_save(path, state, metadata):
+            # the arrays sorted before "zz" are written, then the disk fills
+            real_save(path, dict(state, zz=FailingArray()), metadata)
+
+        monkeypatch.setattr(cli, "save_checkpoint", failing_save)
+        assert run_cli("train", "--config", config_path, "--seed", "5") == 3
+        for name, blob in before.items():
+            assert (out / name).read_bytes() == blob
+        assert not list(out.glob("*.tmp"))
 
     def test_cache_signature_mismatch(self, workspace):
         tmp_path, config_path, _ = workspace

@@ -529,6 +529,21 @@ class TestFeatureCache:
         write_feature_cache(tmp_path / "b.bin", feats, header)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
+    def test_ids_containing_slashes_round_trip(self, tmp_path):
+        rng = np.random.default_rng(19)
+        ids = ["a/b", "a", "a/b/matrix", "/z", "x/"]
+        feats = [featurize_molecule(random_molecule(rng, mol_id), "mol-peco-asym")
+                 for mol_id in ids]
+        write_feature_cache(tmp_path / "cache.bin", feats, {"variant": "mol-peco-asym"})
+        _, got = read_feature_cache(tmp_path / "cache.bin")
+        assert sorted(got) == sorted(ids)
+        for feat in feats:
+            loaded = got[feat.mol_id]
+            assert loaded.mol_id == feat.mol_id
+            assert np.array_equal(loaded.matrix, feat.matrix)
+            assert np.array_equal(loaded.atomic_numbers, feat.atomic_numbers)
+            assert np.array_equal(loaded.spectrum.eigenvectors, feat.spectrum.eigenvectors)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)

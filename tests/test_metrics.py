@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from molpeco.checkpoints import write_csv
 from molpeco.errors import UndefinedMetricError
 from molpeco.metrics import (
+    METRIC_NAMES,
     _average_ranks,
     balanced_accuracy,
     confusion_metrics,
@@ -214,14 +216,16 @@ class TestMacroAggregation:
         assert report.per_descriptor["x"]["auroc"] == 0.5
         assert report.per_descriptor["y"]["auroc"] == 0.5
 
-    def test_json_and_csv_shapes(self):
+    def test_json_and_csv_shapes(self, tmp_path):
         rng = np.random.default_rng(6)
         scores = rng.random((10, 2))
         targets = rng.integers(0, 2, size=(10, 2))
         targets[0], targets[1] = 1, 0
         report = eval_report(scores, targets, ["x", "y"])
-        text = report.to_csv(config_hash="abc")
-        lines = text.strip().split("\n")
+        rows = [*report.per_descriptor.items(), ("macro", report.macro)]
+        write_csv(tmp_path / "report.csv", "abc", ("descriptor", *METRIC_NAMES),
+                  ([name, *(metrics[m] for m in METRIC_NAMES)] for name, metrics in rows))
+        lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert lines[0] == "# config_hash=abc"
         assert lines[1].startswith("descriptor,auroc,")
         assert len(lines) == 2 + 2 + 1  # comment, header, two descriptors, macro

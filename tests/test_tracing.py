@@ -3,7 +3,11 @@ looks up must exist, and unwrapping must restore the originals."""
 
 from pathlib import Path
 
+import numpy as np
+
 from molpeco import autodiff, chemio, cli, features, model, train
+
+from synthdata import random_molecule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,3 +29,25 @@ def test_install_finds_every_traced_name_and_unwraps(monkeypatch):
     for owner, names in zip(owners, before):
         for name, value in names.items():
             assert vars(owner)[name] is value, f"{owner.__name__}.{name} not restored"
+
+
+def test_cache_mb_counts_the_written_cache_file(monkeypatch, tmp_path):
+    # the tracer reads the cache path from the writer's first argument
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    rng = np.random.default_rng(0)
+    feats = [features.featurize_molecule(random_molecule(rng, f"m{i}"), "mol-peco-asym")
+             for i in range(3)]
+    path = tmp_path / "features.cache"
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        tracer.round = 0
+        cli.write_feature_cache(path, feats, {"variant": "mol-peco-asym"})
+    finally:
+        tracer.round = None
+        tracer.unwrap_all()
+    assert tracer.counters[(0, "features.cache_mb")] == path.stat().st_size / 1e6
+    assert tracer.per_round()[0]["features.cache_write.calls"] == 1

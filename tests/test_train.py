@@ -8,7 +8,7 @@ import pytest
 
 from molpeco import autodiff as ad
 from molpeco.autodiff import Parameter, Tensor
-from molpeco.checkpoints import load_checkpoint, save_checkpoint
+from molpeco.checkpoints import load_checkpoint, save_checkpoint, write_csv
 from molpeco.chemio import build_dataset, stratified_split
 from molpeco.errors import DataError, NumericError
 from molpeco.features import featurize_molecule
@@ -190,14 +190,21 @@ class TestTrainLoop:
         assert result.best_val_loss <= min(val_losses)
         assert result.history[result.best_epoch - 1]["val_loss"] == result.best_val_loss
 
-    def test_history_csv_schema(self):
+    def test_history_csv_schema(self, tmp_path):
         ds, split, model_cfg = self._setup()
         result = train_loop(ds, split, model_cfg,
                             TrainConfig(max_epochs=2, batch_size=4, seed=3))
-        lines = result.history_csv(config_hash="deadbeef").strip().split("\n")
+        columns = list(result.history[0])
+        write_csv(tmp_path / "history.csv", "deadbeef", columns,
+                  ([row[name] for name in columns] for row in result.history))
+        lines = (tmp_path / "history.csv").read_text().strip().split("\n")
         assert lines[0] == "# config_hash=deadbeef"
         assert lines[1] == "epoch,train_loss,val_loss,val_auroc"
         assert len(lines) == 4
+        for line, row in zip(lines[2:], result.history):
+            epoch, *values = line.split(",")
+            assert int(epoch) == row["epoch"]
+            assert [float(v) for v in values] == [row[name] for name in columns[1:]]
 
     def test_empty_split_rejected(self):
         ds, split, model_cfg = self._setup()
