@@ -207,6 +207,11 @@ def parse_molecules(path, max_atoms: int = DEFAULT_MAX_ATOMS) -> Dataset:
             mol_id = record["id"]
             if not isinstance(mol_id, str) or not mol_id:
                 raise ParseError(f"line {line_no}: 'id' must be a non-empty string")
+            # ids are written unquoted into embedding CSVs, whose reader
+            # drops '#' lines and splits rows at commas
+            if mol_id.startswith("#") or any(c in mol_id for c in ',"\r\n'):
+                raise ParseError(f"line {line_no}: id {mol_id!r} must not start with '#' "
+                                 "or contain a comma, a double quote or a line break")
             raw_atoms = record["atoms"]
             if not isinstance(raw_atoms, list) or not raw_atoms:
                 raise ParseError(f"line {line_no}: molecule '{mol_id}' needs >= 1 atom")

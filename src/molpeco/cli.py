@@ -10,9 +10,9 @@ configurations reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import sys
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -213,40 +213,68 @@ def cmd_embed(config: RunConfig, part: str) -> int:
     return 0
 
 
-def read_embeddings(path) -> dict[str, np.ndarray]:
-    embeddings: dict[str, np.ndarray] = {}
+def read_embeddings(path) -> tuple[list[str], np.ndarray]:
+    """The ids and the ``(N, d)`` float64 vectors of an embedding CSV.
+
+    Raises DataError for a file that is not ``id,e0..e{d-1}``, a ragged
+    row, a non-numeric or non-finite cell, or an empty or repeated id.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        reader = csv.reader(line for line in handle if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or header[0] != "id":
-            raise DataError(f"'{path}' is not an embedding file")
-        for row in reader:
-            embeddings[row[0]] = np.array([float(v) for v in row[1:]])
-    return embeddings
+        lines = [line for line in handle if not line.startswith("#")]
+    if not lines or lines[0].rstrip("\n").split(",")[0] != "id":
+        raise DataError(f"'{path}' is not an embedding file")
+    width = lines[0].count(",")
+    ids, rest = [], []
+    for line in lines[1:]:
+        mol_id, _, values = line.partition(",")
+        ids.append(mol_id)
+        rest.append(values)
+    if not ids:
+        raise DataError(f"'{path}' holds no embeddings")
+    try:
+        vectors = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"'{path}': malformed embedding row ({exc})") from exc
+    # loadtxt skips empty lines, so a row holding only an id drops out here
+    if vectors.shape != (len(ids), width):
+        raise DataError(f"'{path}': {len(ids)} rows of {width} values expected, "
+                        f"read {vectors.shape[0]} of {vectors.shape[1]}")
+    if "" in ids:
+        raise DataError(f"'{path}': row {ids.index('') + 1} has an empty id")
+    if len(set(ids)) != len(ids):
+        repeated = next(mol_id for mol_id, n in Counter(ids).items() if n > 1)
+        raise DataError(f"'{path}': id '{repeated}' appears more than once")
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise DataError(f"'{path}': id '{ids[int(np.argmin(finite))]}' has a "
+                        "non-finite value")
+    return ids, vectors
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / denom)
-
-
-def retrieve_neighbors(embeddings: dict[str, np.ndarray], query_id: str,
+def retrieve_neighbors(ids: list[str], vectors: np.ndarray, query_id: str,
                        k: int = 5) -> list[tuple[str, float]]:
-    """Top-k ids by cosine similarity to the query embedding, descending,
-    excluding the query; ties break lexicographically by id."""
-    if query_id not in embeddings:
-        raise DataError(f"unknown molecule id '{query_id}'")
-    query = embeddings[query_id]
-    scored = [(mol_id, cosine_similarity(query, vector))
-              for mol_id, vector in embeddings.items() if mol_id != query_id]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]
+    """Top-k ids by cosine similarity to the query's row, descending,
+    excluding the query; ties break lexicographically by id. A zero
+    vector has similarity 0.0 to everything."""
+    try:
+        row = ids.index(query_id)
+    except ValueError:
+        raise DataError(f"unknown molecule id '{query_id}'") from None
+    # einsum, not BLAS gemv: a vector repeated at any row position must get
+    # a bit-identical similarity, so that the id order decides the tie
+    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+    dots = np.einsum("ij,j->i", vectors, vectors[row])
+    denom = norms * norms[row]
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
+    order = np.lexsort((np.array(ids), -sims))
+    order = order[order != row][:k]
+    return [(ids[i], float(sims[i])) for i in order]
 
 
 def cmd_retrieve(embeddings_path, query_id: str, k: int) -> int:
-    neighbors = retrieve_neighbors(read_embeddings(embeddings_path), query_id, k)
+    if k < 1:
+        raise UsageError(f"--k must be at least 1, got {k}")
+    neighbors = retrieve_neighbors(*read_embeddings(embeddings_path), query_id, k)
     for rank, (mol_id, similarity) in enumerate(neighbors, start=1):
         print(f"{rank},{mol_id},{similarity!r}")
     return 0

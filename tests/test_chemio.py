@@ -65,6 +65,15 @@ class TestParseMolecules:
         with pytest.raises(ParseError, match="line 2"):
             parse_molecules(path)
 
+    @pytest.mark.parametrize("mol_id", ["a,b", 'a"b', "a\rb", "a\nb", "#a"])
+    def test_id_that_breaks_the_embedding_csv_rejected(self, tmp_path, mol_id):
+        path = write_jsonl(tmp_path / "m.jsonl", [
+            {"id": "ok#1", "atoms": [["H", 0, 0, 0]], "labels": []},
+            {"id": mol_id, "atoms": [["H", 0, 0, 0]], "labels": []},
+        ])
+        with pytest.raises(ParseError, match="line 2"):
+            parse_molecules(path)
+
     def test_unknown_symbol_rejected(self, tmp_path):
         path = write_jsonl(tmp_path / "m.jsonl", [
             {"id": "m1", "atoms": [["Xx", 0, 0, 0]], "labels": []},

@@ -12,7 +12,8 @@ import pytest
 from molpeco import cli, train
 from molpeco.checkpoints import load_checkpoint
 from molpeco.chemio import serialize_molecules
-from molpeco.cli import cosine_similarity, main, read_embeddings, retrieve_neighbors
+from molpeco.cli import main, read_embeddings, retrieve_neighbors
+from molpeco.errors import DataError
 from molpeco.metrics import METRIC_NAMES
 
 from synthdata import structure_labeled_set
@@ -75,9 +76,9 @@ class TestPipeline:
         assert len(report_csv) == 2 + len(report) - 3 + 1  # descriptors and macro
         assert not list(tmp_path.rglob("*.tmp"))
 
-        embeddings = read_embeddings(out / "embeddings_val.csv")
-        assert all(vec.shape == (8,) for vec in embeddings.values())
-        query = sorted(embeddings)[0]
+        ids, vectors = read_embeddings(out / "embeddings_val.csv")
+        assert vectors.shape == (len(ids), 8)
+        query = sorted(ids)[0]
         assert run_cli("retrieve", "--embeddings", out / "embeddings_val.csv",
                        "--query", query, "--k", "3") == 0
 
@@ -287,29 +288,112 @@ class TestExitCodes:
         assert "featurized" in proc.stdout
 
 
+def write_embeddings(path, text):
+    path.write_text("# config_hash=x\n" + text, encoding="utf-8")
+    return path
+
+
+def names(ranked):
+    return [mol_id for mol_id, _ in ranked]
+
+
 class TestRetrieval:
     def test_identical_embedding_ranks_first_with_similarity_one(self):
-        embeddings = {
-            "query": np.array([1.0, 0.0]),
-            "twin": np.array([2.0, 0.0]),
-            "other": np.array([0.0, 1.0]),
-        }
-        ranked = retrieve_neighbors(embeddings, "query", k=2)
+        vectors = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        ranked = retrieve_neighbors(["query", "twin", "other"], vectors, "query", k=2)
         assert ranked[0][0] == "twin"
         assert abs(ranked[0][1] - 1.0) <= 1e-12
 
     def test_k_clamped_to_corpus(self):
-        embeddings = {"a": np.ones(2), "b": np.ones(2), "c": np.ones(2)}
-        assert len(retrieve_neighbors(embeddings, "a", k=10)) == 2
+        assert len(retrieve_neighbors(["a", "b", "c"], np.ones((3, 2)), "a", k=10)) == 2
 
     def test_orthogonal_vectors_zero_similarity(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+        vectors = np.array([[1.0, 0.0], [0.0, 2.0]])
+        assert retrieve_neighbors(["q", "o"], vectors, "q", k=1) == [("o", 0.0)]
+
+    def test_zero_vector_has_zero_similarity(self):
+        ids = ["q", "zero", "back"]
+        vectors = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        assert retrieve_neighbors(ids, vectors, "q", k=2) == [("zero", 0.0), ("back", -1.0)]
+        assert retrieve_neighbors(ids, vectors, "zero", k=2) == [("back", 0.0), ("q", 0.0)]
 
     def test_ties_break_lexicographically(self):
-        embeddings = {
-            "q": np.array([1.0, 0.0]),
-            "zz": np.array([3.0, 0.0]),
-            "aa": np.array([2.0, 0.0]),
-        }
-        ranked = retrieve_neighbors(embeddings, "q", k=2)
-        assert [mol_id for mol_id, _ in ranked] == ["aa", "zz"]
+        vectors = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
+        ranked = retrieve_neighbors(["q", "zz", "aa"], vectors, "q", k=2)
+        assert names(ranked) == ["aa", "zz"]
+
+    @pytest.mark.parametrize("d", [32, 33])
+    @pytest.mark.parametrize("query_row", [5000, 4099])
+    def test_repeated_vector_ties_bit_identically_at_every_row(self, d, query_row):
+        rng = np.random.default_rng(d)
+        vectors = rng.normal(size=(8503, d))
+        rows = [0, 1, 2, 3, 4, 7, 8, 4099, 8502]
+        # the repeated vector is the one closest to the query
+        vectors[rows] = vectors[5000] + 0.01 * rng.normal(size=d)
+        ids = [f"m{i:05d}" for i in rng.permutation(8503)]
+        twins = [row for row in rows if row != query_row]
+        ranked = retrieve_neighbors(ids, vectors, ids[query_row], k=len(twins))
+        assert names(ranked) == sorted(ids[row] for row in twins)
+        assert len({sim for _, sim in ranked}) == 1
+
+    def test_matches_brute_force_loop(self):
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(size=(300, 16))
+        vectors[17] = 0.0
+        ids = [f"m{i:03d}" for i in rng.permutation(300)]
+        for query_row in [17, *rng.choice(300, 9, replace=False)]:
+            query = vectors[query_row]
+            expected = []
+            for mol_id, vector in zip(ids, vectors):
+                if mol_id == ids[query_row]:
+                    continue
+                denom = float(np.linalg.norm(query) * np.linalg.norm(vector))
+                expected.append((mol_id, 0.0 if denom == 0.0
+                                 else float(np.dot(query, vector) / denom)))
+            expected.sort(key=lambda item: (-item[1], item[0]))
+            ranked = retrieve_neighbors(ids, vectors, ids[query_row], k=25)
+            assert names(ranked) == names(expected[:25])
+            worst = max(abs(a - b) for (_, a), (_, b) in zip(ranked, expected))
+            assert worst <= 8 * np.finfo(np.float64).eps
+
+    def test_read_embeddings_bit_equal_to_float_of_repr(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200)
+        values = np.concatenate([values, [5e-324, -0.0, 1.7976931348623157e308, 0.1, 1 / 3]])
+        cells = [[repr(float(v)) for v in row] for row in values.reshape(41, 5)]
+        path = write_embeddings(tmp_path / "e.csv", "id,e0,e1,e2,e3,e4\n" + "".join(
+            f"m{i},{','.join(row)}\n" for i, row in enumerate(cells)))
+        ids, vectors = read_embeddings(path)
+        assert ids == [f"m{i}" for i in range(41)]
+        expected = np.array([[float(cell) for cell in row] for row in cells])
+        assert vectors.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        "a,1.0,2.0\nb,1.0\n",           # ragged row
+        "a,1.0,2.0\nb,1.0,x\n",         # non-numeric cell
+        "a,1.0\nb,2.0\n",               # rows narrower than the header
+        "a,1.0,2.0\n,1.0,2.0\n",        # empty id
+        "a,1.0,2.0\na,3.0,4.0\n",       # repeated id
+        "a,1.0,2.0\nb,nan,1.0\n",       # non-finite value
+        "a,1.0,2.0\nb,1.0,-inf\n",      # non-finite value
+        "a,1.0,2.0\nb\n",               # a row holding only its id
+        "",                               # no rows at all
+    ])
+    def test_malformed_embedding_file_exits_3(self, tmp_path, capsys, rows):
+        path = write_embeddings(tmp_path / "e.csv", "id,e0,e1\n" + rows)
+        with pytest.raises(DataError):
+            read_embeddings(path)
+        assert run_cli("retrieve", "--embeddings", path, "--query", "a") == 3
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_usage_error(self, tmp_path, capsys, k):
+        path = write_embeddings(tmp_path / "e.csv", "id,e0\na,1.0\nb,2.0\nc,3.0\n")
+        assert run_cli("retrieve", "--embeddings", path, "--query", "a", "--k", k) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_retrieve_prints_rank_id_similarity(self, tmp_path, capsys):
+        path = write_embeddings(tmp_path / "e.csv",
+                                "id,e0,e1\na,1.0,0.0\nb,0.0,1.0\nc,2.0,0.0\n")
+        assert run_cli("retrieve", "--embeddings", path, "--query", "a", "--k", "5") == 0
+        assert capsys.readouterr().out == "1,c,1.0\n2,b,0.0\n"

@@ -51,3 +51,27 @@ def test_cache_mb_counts_the_written_cache_file(monkeypatch, tmp_path):
         tracer.unwrap_all()
     assert tracer.counters[(0, "features.cache_mb")] == path.stat().st_size / 1e6
     assert tracer.per_round()[0]["features.cache_write.calls"] == 1
+
+
+def test_retrieve_calls_the_traced_reader_and_ranker_once(monkeypatch, tmp_path, capsys):
+    # the tracer wraps the module globals; a retrieve that bypassed them
+    # would report zero read and rank time
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    path = tmp_path / "embeddings.csv"
+    path.write_text("id,e0,e1\na,1.0,0.0\nb,0.0,1.0\nc,2.0,0.5\n", encoding="utf-8")
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        tracer.round = 0
+        assert cli.main(["retrieve", "--embeddings", str(path), "--query", "a",
+                         "--k", "2"]) == 0
+    finally:
+        tracer.round = None
+        tracer.unwrap_all()
+    table = tracer.per_round()[0]
+    assert table["cli.read_embeddings.calls"] == 1
+    assert table["cli.retrieve_neighbors.calls"] == 1
+    assert capsys.readouterr().out.splitlines()[0].startswith("1,c,")
