@@ -12,7 +12,7 @@ descriptor scores outside the differentiation graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -180,35 +180,33 @@ def lpe_forward(spectrum: Spectrum, model: MolPecoModel) -> Tensor:
     return h.sum(axis=-2)
 
 
-def gcn_forward(matrix: np.ndarray, h0: Tensor, model: MolPecoModel) -> Tensor:
-    """Residual graph convolution stack:
-    H_l = SELU(X H_{l-1} W_graph) + H_{l-1} W_linear."""
-    n = matrix.shape[0]
-    if matrix.shape != (n, n) or h0.values.shape[0] != n:
-        raise ShapeError(
-            f"matrix {matrix.shape} incompatible with embeddings {h0.values.shape}"
-        )
-    x = ad.constant(matrix)
+def gcn_forward(matrices: Sequence[np.ndarray], h0: Tensor,
+                model: MolPecoModel) -> Tensor:
+    """Residual graph convolution stack over a batch whose atom rows are
+    stacked in ``h0``, molecule i owning the next ``len(matrices[i])`` rows:
+    H_l = SELU(X H_{l-1} W_graph) + H_{l-1} W_linear, with X the
+    block-diagonal matrix of the molecules' matrices."""
     h = h0
     for layer in model.gcn_layers:
-        h = ad.add(ad.selu(ad.matmul(ad.matmul(x, h), layer.w_graph)),
+        h = ad.add(ad.selu(ad.matmul(ad.block_matmul(matrices, h), layer.w_graph)),
                    ad.matmul(h, layer.w_linear))
     return h
 
 
-def sum_pool(h: Tensor) -> Tensor:
-    """Molecule embedding: order-independent column sums of the atom
-    embeddings, hence bit-identical under atom reordering."""
-    return ad.sum_rows_exact(h)
+def sum_pool(h: Tensor, sizes: Sequence[int]) -> Tensor:
+    """Molecule embeddings, one row per molecule of ``sizes`` atoms:
+    order-independent column sums of its atom rows, hence bit-identical
+    under atom reordering."""
+    return ad.sum_rows_exact(h, sizes)
 
 
 def classify(m: Tensor, model: MolPecoModel) -> Tensor:
     """Multi-label head: optional hidden SELU layers, then a linear map to
-    one logit per descriptor."""
+    one logit per descriptor, each molecule's row multiplied on its own."""
     h = m
     for w, b in model.head_hidden:
-        h = ad.selu(ad.linear(h, w, b))
-    return ad.matmul(h, model.head_w)
+        h = ad.selu(ad.add(ad.rowwise_matmul(h, w), b))
+    return ad.rowwise_matmul(h, model.head_w)
 
 
 def probabilities(logits: np.ndarray) -> np.ndarray:
@@ -218,21 +216,33 @@ def probabilities(logits: np.ndarray) -> np.ndarray:
     return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
-def forward(feats: MolFeatures, model: MolPecoModel) -> tuple[Tensor, Tensor]:
-    """Full forward pass; returns (descriptor logits 1 x o, penultimate
-    molecule embedding 1 x d)."""
+def forward(feats: MolFeatures | Sequence[MolFeatures],
+            model: MolPecoModel) -> tuple[Tensor, Tensor]:
+    """Full forward pass over a batch of molecules, a single ``MolFeatures``
+    being a batch of one; returns (descriptor logits B x o, penultimate
+    molecule embeddings B x d), row i for molecule i.
+
+    The batch's atom rows are stacked into one (sum of n) x d tensor, so
+    the batch builds one graph; each molecule keeps its own LPE and its
+    own ``X @ H`` product, and no row depends on the rest of the batch.
+    """
     config = model.config
-    if feats.kind != config.variant:
-        raise DataError(
-            f"features of molecule '{feats.mol_id}' were built for variant "
-            f"'{feats.kind}', model expects '{config.variant}'"
-        )
-    if config.uses_lpe and feats.spectrum is None:
-        raise DataError(f"molecule '{feats.mol_id}' lacks the spectrum needed by "
-                        f"'{config.variant}'")
-    h0 = atom_init_embedding(feats.atomic_numbers, model)
+    if isinstance(feats, MolFeatures):
+        feats = (feats,)
+    for feat in feats:
+        if feat.kind != config.variant:
+            raise DataError(
+                f"features of molecule '{feat.mol_id}' were built for variant "
+                f"'{feat.kind}', model expects '{config.variant}'"
+            )
+        if config.uses_lpe and feat.spectrum is None:
+            raise DataError(f"molecule '{feat.mol_id}' lacks the spectrum needed by "
+                            f"'{config.variant}'")
+    h0 = atom_init_embedding(np.concatenate([feat.atomic_numbers for feat in feats]),
+                             model)
     if config.uses_lpe:
-        h0 = ad.add(h0, lpe_forward(feats.spectrum, model))
-    h = gcn_forward(feats.matrix, h0, model)
-    m = sum_pool(h)
+        h0 = ad.add(h0, ad.concat_rows([lpe_forward(feat.spectrum, model)
+                                        for feat in feats]))
+    h = gcn_forward([feat.matrix for feat in feats], h0, model)
+    m = sum_pool(h, [feat.matrix.shape[0] for feat in feats])
     return classify(m, model), m

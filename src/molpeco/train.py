@@ -4,10 +4,10 @@ validation loss, and dataset-level evaluation.
 The loss is a per-descriptor weighted sum of binary cross-entropy and a
 log-ratio regularizer, computed from the head's logits; weights are
 1 - n_pos / n_total computed on the training split only. A training batch
-builds one loss over the (B, o) matrix of its molecules' logits. Each
-molecule keeps its own unpadded forward graph; ``predict`` is the one
-path that scores molecules outside training (validation, evaluation and
-embedding export).
+runs one forward pass over its molecules, with their atom rows stacked
+unpadded, and builds one loss over the (B, o) matrix of their logits;
+``predict`` is the one path that scores molecules outside training
+(validation, evaluation and embedding export).
 """
 
 from __future__ import annotations
@@ -164,16 +164,15 @@ def predict(model: MolPecoModel,
             feats: Sequence[MolFeatures]) -> tuple[np.ndarray, np.ndarray]:
     """Logits (B x o) and molecule embeddings (B x d) of B molecules.
 
-    Each molecule runs its own forward pass, and its graph is dropped once
-    its rows are read, so at most one graph is alive at a time.
+    One forward pass scores the whole list without a backward graph, so
+    each molecule's positional-encoder intermediates are freed as soon as
+    its encoding is computed.
     """
-    logits = np.empty((len(feats), model.config.o))
-    embeddings = np.empty((len(feats), model.config.d))
-    for row, feat in enumerate(feats):
-        z, m = forward(feat, model)
-        logits[row] = z.values[0]
-        embeddings[row] = m.values[0]
-    return logits, embeddings
+    if not feats:
+        return np.empty((0, model.config.o)), np.empty((0, model.config.d))
+    with ad.no_grad():
+        logits, embeddings = forward(feats, model)
+    return logits.values, embeddings.values
 
 
 def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
@@ -210,7 +209,7 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
         for start in range(0, order.shape[0], train_cfg.batch_size):
             batch = order[start:start + train_cfg.batch_size]
             optimizer.zero_grad()
-            logits = ad.concat_rows([forward(train_feats[i], model)[0] for i in batch])
+            logits = forward([train_feats[i] for i in batch], model)[0]
             total = compute_loss(logits, train_targets[batch], loss_cfg)
             if not math.isfinite(total.item()):
                 diverged = True

@@ -208,8 +208,67 @@ class TestPrimitiveGradients:
     def test_sum_rows_exact_gradient(self):
         rng = np.random.default_rng(10)
         weights = rng.normal(size=(1, 4))
-        check_unary(lambda t: ad.mul(ad.sum_rows_exact(t), Tensor(weights)),
+        check_unary(lambda t: ad.mul(ad.sum_rows_exact(t, [5]), Tensor(weights)),
                     rng.normal(size=(5, 4)))
+        segment_weights = rng.normal(size=(3, 4))
+        check_unary(lambda t: ad.mul(ad.sum_rows_exact(t, [1, 3, 2]),
+                                     Tensor(segment_weights)),
+                    rng.normal(size=(6, 4)))
+
+    def test_segmented_sum_rows_exact_permutation_invariant_per_segment(self):
+        rng = np.random.default_rng(22)
+        sizes = [4, 1, 7, 3]
+        h = rng.normal(size=(15, 5)) * np.logspace(-3, 3, 5)
+        expected = ad.sum_rows_exact(Tensor(h), sizes).values
+        assert expected.shape == (4, 5)
+        starts = np.cumsum([0, *sizes[:-1]])
+        for start, size, row in zip(starts, sizes, expected):
+            alone = ad.sum_rows_exact(Tensor(h[start:start + size]), [size])
+            assert np.array_equal(alone.values[0], row)
+        for _ in range(10):
+            order = np.concatenate([start + rng.permutation(size)
+                                    for start, size in zip(starts, sizes)])
+            assert np.array_equal(ad.sum_rows_exact(Tensor(h[order]), sizes).values,
+                                  expected)
+
+    def test_block_matmul_gradient(self):
+        rng = np.random.default_rng(23)
+        mats = [rng.normal(size=(n, n)) for n in (2, 1, 3)]
+        weights = rng.normal(size=(6, 4))
+        check_unary(lambda t: ad.mul(ad.block_matmul(mats, t), Tensor(weights)),
+                    rng.normal(size=(6, 4)))
+
+    def test_block_matmul_equals_block_diagonal_product(self):
+        rng = np.random.default_rng(24)
+        mats = [rng.normal(size=(n, n)) for n in (3, 2, 4)]
+        h = rng.normal(size=(9, 5))
+        full = np.zeros((9, 9))
+        start = 0
+        for m in mats:
+            full[start:start + len(m), start:start + len(m)] = m
+            start += len(m)
+        np.testing.assert_allclose(ad.block_matmul(mats, Tensor(h)).values, full @ h,
+                                   rtol=0, atol=1e-12)
+        with pytest.raises(ShapeError):
+            ad.block_matmul(mats, Tensor(h[:8]))
+
+    def test_rowwise_matmul_gradient(self):
+        rng = np.random.default_rng(25)
+        a_values = rng.normal(size=(3, 4))
+        b_values = rng.normal(size=(4, 2))
+        weights = rng.normal(size=(3, 2))
+        check_unary(lambda t: ad.mul(ad.rowwise_matmul(t, Tensor(b_values)),
+                                     Tensor(weights)), a_values)
+        check_unary(lambda t: ad.mul(ad.rowwise_matmul(Tensor(a_values), t),
+                                     Tensor(weights)), b_values)
+
+    def test_rowwise_matmul_rows_equal_single_row_products(self):
+        rng = np.random.default_rng(26)
+        a_values = rng.normal(size=(30, 32))
+        b_values = rng.normal(size=(32, 7))
+        out = ad.rowwise_matmul(Tensor(a_values), Tensor(b_values)).values
+        for row in range(30):
+            assert np.array_equal(out[row], (a_values[row].reshape(1, -1) @ b_values)[0])
 
     def test_gather_rows_gradient(self):
         rng = np.random.default_rng(11)
@@ -234,6 +293,27 @@ class TestPrimitiveGradients:
             out = ad.layer_norm(Tensor(v), Tensor(gain.values), Tensor(bias.values))
             return float((out.values * weights).sum())
         assert_grad_close(x.grad, finite_difference_grad(run, x_values), tol=1e-5)
+
+
+class TestNoGrad:
+    def test_outputs_have_no_parents(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.selu(ad.matmul(Tensor(np.ones((1, 3))), w))
+        assert out.parents == () and out.grad_fn is None and not out.requires_grad
+        after = ad.matmul(Tensor(np.ones((1, 3))), w)
+        assert after.requires_grad and after.parents
+
+    def test_mode_restored_after_exception(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                assert not ad.matmul(Tensor(np.ones((1, 3))), w).requires_grad
+                ad.matmul(w, w)
+        ad.backward(ad.matmul(Tensor(np.ones((1, 3))), w).sum())
+        assert np.array_equal(w.grad, np.ones((3, 2)))
 
 
 class TestSoftmaxAttention:

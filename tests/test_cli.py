@@ -269,6 +269,20 @@ class TestExitCodes:
         assert run_cli("eval", "--config", config_path, "--part", "test") == 3
         assert run_cli("embed", "--config", config_path, "--part", "test") == 3
 
+    def test_embed_of_empty_part_writes_header_only(self, workspace):
+        tmp_path, config_path, _ = workspace
+        for command in (["featurize"], ["split"], ["train"]):
+            assert run_cli(*command, "--config", config_path) == 0
+        split_path = tmp_path / "split.json"
+        parts = json.loads(split_path.read_text())
+        parts["train"] += parts["test"]
+        parts["test"] = []
+        split_path.write_text(json.dumps(parts), encoding="utf-8")
+        assert run_cli("embed", "--config", config_path, "--part", "test") == 0
+        lines = (tmp_path / "out" / "embeddings_test.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[0].startswith("# config_hash=")
+        assert lines[1] == "id," + ",".join(f"e{i}" for i in range(8))
+
     def test_unknown_retrieve_id(self, workspace):
         tmp_path, config_path, _ = workspace
         for command in (["featurize"], ["split"], ["train"], ["embed", "--part", "val"]):

@@ -111,14 +111,14 @@ class TestGCNForward:
         layer.w_graph.values = np.zeros_like(layer.w_graph.values)
         layer.w_linear.values = np.eye(8)
         h0_values = np.random.default_rng(0).normal(size=(5, 8))
-        out = gcn_forward(np.ones((5, 5)), Tensor(h0_values), model)
+        out = gcn_forward([np.ones((5, 5))], Tensor(h0_values), model)
         np.testing.assert_allclose(out.values, h0_values, rtol=0, atol=1e-15)
 
     def test_zero_matrix_passes_linear_path_only(self):
         model = MolPecoModel(small_config(variant="coulomb-gcn"), seed=0)
         layer = model.gcn_layers[0]
         h0_values = np.random.default_rng(1).normal(size=(4, 8))
-        out = gcn_forward(np.zeros((4, 4)), Tensor(h0_values), model)
+        out = gcn_forward([np.zeros((4, 4))], Tensor(h0_values), model)
         np.testing.assert_allclose(out.values, h0_values @ layer.w_linear.values,
                                    rtol=0, atol=1e-15)
 
@@ -131,26 +131,26 @@ class TestGCNForward:
             x = 0.5 * (x + x.T)
             h0 = rng.normal(size=(n, 8))
             perm = rng.permutation(n)
-            out = gcn_forward(x, Tensor(h0), model).values
-            out_perm = gcn_forward(x[np.ix_(perm, perm)], Tensor(h0[perm]), model).values
+            out = gcn_forward([x], Tensor(h0), model).values
+            out_perm = gcn_forward([x[np.ix_(perm, perm)]], Tensor(h0[perm]), model).values
             assert np.max(np.abs(out_perm - out[perm])) <= 1e-9
 
 
 class TestSumPoolAndClassify:
     def test_single_row(self):
         h = Tensor(np.array([[1.0, 2.0, 3.0]]))
-        assert np.array_equal(sum_pool(h).values, [[1.0, 2.0, 3.0]])
+        assert np.array_equal(sum_pool(h, [1]).values, [[1.0, 2.0, 3.0]])
 
     def test_all_ones(self):
-        assert sum_pool(Tensor(np.ones((4, 2)))).values.tolist() == [[4.0, 4.0]]
+        assert sum_pool(Tensor(np.ones((4, 2))), [4]).values.tolist() == [[4.0, 4.0]]
 
     def test_exact_permutation_invariance(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=(9, 6)) * np.logspace(-3, 3, 6)
         for _ in range(20):
             perm = rng.permutation(9)
-            assert np.array_equal(sum_pool(Tensor(h[perm])).values,
-                                  sum_pool(Tensor(h)).values)
+            assert np.array_equal(sum_pool(Tensor(h[perm]), [9]).values,
+                                  sum_pool(Tensor(h), [9]).values)
 
     def test_matches_exactly_rounded_sums_within_rounding_bound(self):
         # recursive summation of n terms errs by at most about
@@ -159,7 +159,7 @@ class TestSumPoolAndClassify:
         h = rng.normal(size=(60, 6)) * np.logspace(-3, 3, 6)
         exact = np.array([math.fsum(h[:, j]) for j in range(6)])
         bound = 59 * np.finfo(np.float64).eps * np.abs(h).sum(axis=0)
-        assert np.all(np.abs(sum_pool(Tensor(h)).values[0] - exact) <= bound)
+        assert np.all(np.abs(sum_pool(Tensor(h), [60]).values[0] - exact) <= bound)
 
     def test_zero_head_gives_half(self):
         model = MolPecoModel(small_config(variant="coulomb-gcn"), seed=0)

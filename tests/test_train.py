@@ -16,7 +16,7 @@ from molpeco.model import ModelConfig, MolPecoModel, forward
 from molpeco.train import (Adam, LossConfig, TrainConfig, compute_loss, evaluate, predict,
                            train_loop)
 
-from synthdata import random_molecule, structure_labeled_set
+from synthdata import organic_molecule, random_molecule, structure_labeled_set
 
 
 class TestComputeLoss:
@@ -236,19 +236,46 @@ class TestTrainLoop:
 
 class TestPredict:
     def test_rows_equal_per_molecule_forward(self):
-        ds = structure_labeled_set(np.random.default_rng(5))
-        for variant in ("coulomb-gcn", "mol-peco-asym"):
-            model = MolPecoModel(ModelConfig(variant=variant, o=ds.num_descriptors, d=8,
-                                             p=4, gcn_layers=2, transformer_layers=1,
-                                             z_max=20), seed=1)
-            feats = [featurize_molecule(mol, variant) for mol in ds.molecules]
+        # a molecule's rows are bit-identical alone, in a batch of mixed
+        # sizes, and in any batch order
+        rng = np.random.default_rng(15)
+        mols = [random_molecule(rng, "two", n_atoms=2, with_bonds=True),
+                random_molecule(rng, "three", n_atoms=3, with_bonds=True)]
+        mols += [organic_molecule(rng, f"m{n}", n) for n in (7, 12, 25, 40, 5, 18)]
+        for variant in ("adjacency-gcn", "coulomb-gcn", "mol-peco-sym", "mol-peco-asym"):
+            model = MolPecoModel(ModelConfig(variant=variant, o=5), seed=2)
+            feats = [featurize_molecule(mol, variant) for mol in mols]
             logits, embeddings = predict(model, feats)
-            assert logits.shape == (len(ds), ds.num_descriptors)
-            assert embeddings.shape == (len(ds), 8)
+            assert logits.shape == (len(mols), 5)
+            assert embeddings.shape == (len(mols), 32)
             for row, feat in enumerate(feats):
                 z, m = forward(feat, model)
-                assert np.array_equal(logits[row], z.values[0])
-                assert np.array_equal(embeddings[row], m.values[0])
+                assert np.array_equal(logits[row], z.values[0]), (variant, feat.mol_id)
+                assert np.array_equal(embeddings[row], m.values[0]), (variant, feat.mol_id)
+            order = rng.permutation(len(feats))
+            logits_p, embeddings_p = predict(model, [feats[i] for i in order])
+            assert np.array_equal(logits_p, logits[order]), variant
+            assert np.array_equal(embeddings_p, embeddings[order]), variant
+
+    def test_empty_list_gives_empty_arrays(self):
+        model = MolPecoModel(ModelConfig(variant="coulomb-gcn", o=3, d=8), seed=0)
+        logits, embeddings = predict(model, [])
+        assert logits.shape == (0, 3) and embeddings.shape == (0, 8)
+
+    def test_backward_after_predict_fills_grad(self):
+        ds = structure_labeled_set(np.random.default_rng(7))
+        model = MolPecoModel(ModelConfig(variant="mol-peco-sym", o=ds.num_descriptors,
+                                         d=8, p=4, gcn_layers=1, transformer_layers=1,
+                                         z_max=20), seed=0)
+        feats = [featurize_molecule(mol, "mol-peco-sym") for mol in ds.molecules[:4]]
+        predict(model, feats)
+        assert all(p.tensor.grad is None for p in model.parameters())
+        loss = compute_loss(forward(feats, model)[0], ds.targets[:4],
+                            LossConfig(np.full(ds.num_descriptors, 0.5)))
+        ad.backward(loss)
+        for param in model.parameters():
+            assert param.tensor.grad is not None, param.name
+            assert np.all(np.isfinite(param.tensor.grad)), param.name
 
 
 class TestEvaluate:
