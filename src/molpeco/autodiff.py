@@ -322,12 +322,15 @@ def selu(a: Tensor) -> Tensor:
     """Scaled exponential linear unit with the standard self-normalizing
     constants."""
     av = a.values
-    positive = av > 0.0
-    exp_neg = np.exp(np.where(positive, 0.0, av))
-    out = SELU_LAMBDA * np.where(positive, av, SELU_ALPHA * (exp_neg - 1.0))
+    exp_neg = np.exp(np.minimum(av, 0.0))
+    # SELU_LAMBDA * (max(x, 0) + SELU_ALPHA * (exp(min(x, 0)) - 1)), in place
+    out = exp_neg - 1.0
+    out *= SELU_ALPHA
+    out += np.maximum(av, 0.0)
+    out *= SELU_LAMBDA
 
     def grad_fn(g):
-        local = SELU_LAMBDA * np.where(positive, 1.0, SELU_ALPHA * exp_neg)
+        local = SELU_LAMBDA * np.where(av > 0.0, 1.0, SELU_ALPHA * exp_neg)
         return (g * local,)
     return _node(out, (a,), grad_fn, "selu")
 
@@ -370,13 +373,16 @@ def softmax_last(a: Tensor) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``table[indices]`` with scatter-add backward."""
+    """Row lookup ``table[indices]`` of a 2-D table, with scatter-add
+    backward."""
     idx = np.asarray(indices, dtype=np.int64)
 
     def grad_fn(g):
-        gt = np.zeros_like(table.values)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        rows, d = table.values.shape
+        # bincount adds in input order, as np.add.at does, so the sums match
+        flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+        gt = np.bincount(flat, weights=g.ravel(), minlength=rows * d)
+        return (gt.reshape(rows, d),)
     return _node(table.values[idx], (table,), grad_fn, "gather_rows")
 
 

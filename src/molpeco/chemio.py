@@ -11,6 +11,7 @@ Coordinates are in Angstrom. Datasets are immutable after construction.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -47,8 +48,10 @@ class Atom:
     def __post_init__(self) -> None:
         if self.atomic_number < 1:
             raise DataError(f"atomic number must be >= 1, got {self.atomic_number}")
-        if len(self.position) != 3 or not all(math.isfinite(c) for c in self.position):
-            raise DataError(f"atom position must be a finite 3-vector, got {self.position}")
+        p = self.position
+        if len(p) != 3 or not (math.isfinite(p[0]) and math.isfinite(p[1])
+                               and math.isfinite(p[2])):
+            raise DataError(f"atom position must be a finite 3-vector, got {p}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,8 @@ class Molecule:
         return np.array([a.atomic_number for a in self.atoms], dtype=np.int64)
 
     def coordinates(self) -> np.ndarray:
-        return np.array([a.position for a in self.atoms], dtype=np.float64)
+        flat = itertools.chain.from_iterable(a.position for a in self.atoms)
+        return np.fromiter(flat, np.float64, 3 * len(self.atoms)).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,10 @@ def _atom_from_record(entry, mol_id: str, line_no: int) -> Atom:
         position = (float(x), float(y), float(z))
     except (TypeError, ValueError):
         raise ParseError(f"line {line_no}: non-numeric coordinates in molecule '{mol_id}'")
-    if not all(math.isfinite(c) for c in position):
-        raise ParseError(f"line {line_no}: non-finite coordinates in molecule '{mol_id}'")
-    return Atom(atomic_number, position)
+    try:  # Atom checks the atomic number and that the coordinates are finite
+        return Atom(atomic_number, position)
+    except DataError as exc:
+        raise ParseError(f"line {line_no}: molecule '{mol_id}': {exc}") from None
 
 
 def parse_molecules(path, max_atoms: int = DEFAULT_MAX_ATOMS) -> Dataset:
@@ -437,11 +442,14 @@ def stratified_split(ds: Dataset, fractions: tuple[float, float, float] = (0.8, 
             tied = [f for f in tied if capacity[f] == cap_best]
         return tied[0]
 
-    while True:
-        active = [(count, key) for key, count in remaining.items() if count > 0]
-        if not active:
-            break
-        _, scarce_key = min(active)
+    # pops keys in min((remaining, key)) order: each key with remaining > 0
+    # has an entry holding its current count, and stale entries are skipped
+    heap = [(count, key) for key, count in remaining.items()]
+    heapq.heapify(heap)
+    while heap:
+        count, scarce_key = heapq.heappop(heap)
+        if count != remaining[scarce_key]:
+            continue
         for idx in sorted(key_to_samples[scarce_key], key=lambda i: rank[i]):
             if assigned[idx] >= 0:
                 continue
@@ -451,6 +459,8 @@ def stratified_split(ds: Dataset, fractions: tuple[float, float, float] = (0.8, 
             for key in sample_keys[idx]:
                 desired[key][fold] -= 1.0
                 remaining[key] -= 1
+                if remaining[key] > 0:
+                    heapq.heappush(heap, (remaining[key], key))
 
     for idx in order:
         if assigned[idx] < 0:

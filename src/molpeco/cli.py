@@ -37,19 +37,22 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _load_dataset(config: RunConfig, cleaned: bool) -> chemio.Dataset:
-    """Parse and merge the dataset; with ``cleaned`` also apply conflict
-    and rare-descriptor filtering (the label-dependent steps)."""
+def _parse_dataset(config: RunConfig) -> chemio.Dataset:
+    """Parse the dataset file and merge duplicate ids."""
     ds = chemio.parse_molecules(config.data_path, max_atoms=config.max_atoms)
-    ds = chemio.merge_duplicates(ds)
-    if cleaned:
-        ds = chemio.filter_conflicts(ds, config.conflict_labels)
-        ds = chemio.filter_rare_descriptors(ds, config.min_label_count,
-                                            config.drop_zero_label)
-    return ds
+    return chemio.merge_duplicates(ds)
+
+
+def _clean(config: RunConfig, ds: chemio.Dataset) -> chemio.Dataset:
+    """Conflict and rare-descriptor filtering (the label-dependent steps)."""
+    ds = chemio.filter_conflicts(ds, config.conflict_labels)
+    return chemio.filter_rare_descriptors(ds, config.min_label_count,
+                                          config.drop_zero_label)
 
 
 def _load_features(config: RunConfig):
+    """The feature cache's id -> MolFeatures, once its header shows that it
+    was built under this configuration from the dataset file as it is."""
     header, features = read_feature_cache(config.cache_path)
     expected = config.featurize_signature()
     actual = {key: header.get(key) for key in expected}
@@ -58,11 +61,22 @@ def _load_features(config: RunConfig):
             f"feature cache was built with {actual}, configuration expects "
             f"{expected}; re-run featurize"
         )
-    data_sha = _file_sha256(config.data_path)
-    if header.get("dataset_sha256") not in (None, data_sha):
+    data_sha = header.get("dataset_sha256")
+    if data_sha is None:
+        raise DataError("feature cache does not record which dataset file it was "
+                        "built from; re-run featurize")
+    if data_sha != _file_sha256(config.data_path):
         raise DataError("feature cache was built from a different dataset file; "
                         "re-run featurize")
     return features
+
+
+def _load_cached(config: RunConfig):
+    """The cleaned dataset and the features, both from the feature cache:
+    the dataset file is only hashed, not parsed."""
+    features = _load_features(config)
+    merged = chemio.build_dataset([feat.molecule for feat in features.values()])
+    return _clean(config, merged), features
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -84,7 +98,7 @@ def _train_once(config: RunConfig, dataset, split, features, variant=None,
 
 
 def cmd_featurize(config: RunConfig) -> int:
-    ds = _load_dataset(config, cleaned=False)
+    ds = _parse_dataset(config)
     features = [featurize_molecule(mol, config.variant, config.cm_normalization)
                 for mol in ds.molecules]
     header = dict(config.featurize_signature())
@@ -97,7 +111,7 @@ def cmd_featurize(config: RunConfig) -> int:
 
 
 def cmd_split(config: RunConfig) -> int:
-    ds = _load_dataset(config, cleaned=True)
+    ds = _clean(config, _parse_dataset(config))
     split = chemio.stratified_split(ds, config.fractions, config.seed)
     chemio.save_split(split, config.split_path)
     print(f"split {len(ds)} molecules into {len(split.train)}/{len(split.val)}/"
@@ -106,9 +120,8 @@ def cmd_split(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig) -> int:
-    ds = _load_dataset(config, cleaned=True)
+    ds, features = _load_cached(config)
     split = chemio.load_split(config.split_path, len(ds))
-    features = _load_features(config)
     model_cfg, result = _train_once(config, ds, split, features)
 
     out = _out_dir(config)
@@ -138,9 +151,8 @@ def _load_part(config: RunConfig, part: str):
     """The cleaned dataset, the indices of one split part, the feature
     cache, the output directory and the model restored from its
     checkpoint."""
-    ds = _load_dataset(config, cleaned=True)
+    ds, features = _load_cached(config)
     split = chemio.load_split(config.split_path, len(ds))
-    features = _load_features(config)
     indices = split.parts().get(part)
     if indices is None:
         raise UsageError(f"unknown split part '{part}' (expected train, val, or test)")
@@ -174,7 +186,7 @@ def cmd_sweep(config: RunConfig, depths, variants) -> int:
         raise UsageError("sweep needs --depths or --variants")
     if depths and variants:
         raise UsageError("sweep takes either --depths or --variants, not both")
-    ds = _load_dataset(config, cleaned=True)
+    ds = _clean(config, _parse_dataset(config))
     split = chemio.load_split(config.split_path, len(ds))
     axis = "transformer_layers" if depths else "variant"
     cached = _load_features(config) if depths else None

@@ -5,27 +5,30 @@ normalization, weighted graph Laplacians, a LAPACK symmetric eigensolver
 with deterministic sign conventions, and the positional-encoding input
 built from the lowest spectral pairs. Also maps the featurization cache
 the CLI writes onto the array layout of ``checkpoints`` (magic
-"MPEC0002"); a cache from before that layout ("MPEC0001") is rejected.
+"MPEC0003"). The cache also holds each molecule's coordinates, bonds and
+labels, so the commands after ``featurize`` rebuild the dataset from it;
+a cache from before that ("MPEC0001", "MPEC0002") is rejected.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .checkpoints import read_arrays, write_arrays
-from .chemio import Molecule
+from .chemio import Atom, Molecule
 from .errors import ConvergenceError, DataError, GeometryError, ShapeError
 
 BOHR_PER_ANGSTROM = 1.8897259886
 NORM_EPSILON = 1e-9
 MIN_ATOM_DISTANCE = 1e-6  # Angstrom; closer pairs are degenerate geometry
 
-CACHE_MAGIC = b"MPEC0002"
-_PLAIN_ARRAYS = {"matrix", "z"}
-_SPECTRAL_ARRAYS = {"matrix", "z", "eigenvalues", "eigenvectors"}
+CACHE_MAGIC = b"MPEC0003"
+_MOLECULE_ARRAYS = {"matrix", "z", "xyz"}
+_SPECTRUM_ARRAYS = {"eigenvalues", "eigenvectors"}
 
 NORMALIZATIONS = ("frobenius", "minmax", "none")
 
@@ -218,7 +221,8 @@ def lpe_input(spectrum: Spectrum, p: int = 20) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MolFeatures:
-    """Everything the model forward pass needs for one molecule.
+    """Everything the model forward pass needs for one molecule, and the
+    molecule it was computed from.
 
     ``kind`` records which matrix/spectrum combination was built
     ("adjacency-gcn", "coulomb-gcn", "mol-peco-sym", "mol-peco-asym") so
@@ -229,6 +233,7 @@ class MolFeatures:
     kind: str
     atomic_numbers: np.ndarray
     matrix: np.ndarray
+    molecule: Molecule
     spectrum: Optional[Spectrum] = None
 
 
@@ -243,36 +248,47 @@ def featurize_molecule(mol: Molecule, variant: str,
     """
     z = mol.atomic_numbers()
     if variant == "adjacency-gcn":
-        return MolFeatures(mol.id, variant, z, adjacency_matrix(mol))
+        return MolFeatures(mol.id, variant, z, adjacency_matrix(mol), mol)
     if variant not in ("coulomb-gcn", "mol-peco-sym", "mol-peco-asym"):
         raise DataError(f"unknown model variant '{variant}'")
     matrix = normalize(coulomb_matrix(mol), normalization)
     if variant == "coulomb-gcn":
-        return MolFeatures(mol.id, variant, z, matrix)
+        return MolFeatures(mol.id, variant, z, matrix, mol)
     if variant == "mol-peco-sym":
         spectrum = eig_symmetric(sym_normalized_laplacian(matrix))
     else:
         spectrum = asym_normalized_laplacian(matrix)
-    return MolFeatures(mol.id, variant, z, matrix, spectrum)
+    return MolFeatures(mol.id, variant, z, matrix, mol, spectrum)
 
 
 def write_feature_cache(path, features: list[MolFeatures], header: dict) -> None:
-    """Write the feature cache: the header plus ``count``, and per molecule
-    the arrays ``<id>/matrix``, ``<id>/z`` (atomic numbers) and, for
-    spectral variants, ``<id>/eigenvalues`` and ``<id>/eigenvectors``."""
+    """Write the feature cache: the header plus ``molecules``, the
+    ``[id, sorted labels]`` of every molecule in the order given, and per
+    molecule the arrays ``<id>/matrix``, ``<id>/z`` (atomic numbers),
+    ``<id>/xyz`` (coordinates), ``<id>/bonds`` when the molecule has a bond
+    list and, for spectral variants, ``<id>/eigenvalues`` and
+    ``<id>/eigenvectors``."""
     arrays = {}
     for feat in features:
+        mol = feat.molecule
         arrays[f"{feat.mol_id}/matrix"] = feat.matrix
         arrays[f"{feat.mol_id}/z"] = feat.atomic_numbers
+        arrays[f"{feat.mol_id}/xyz"] = mol.coordinates()
+        if mol.bonds is not None:
+            flat = itertools.chain.from_iterable(mol.bonds)
+            arrays[f"{feat.mol_id}/bonds"] = np.fromiter(flat, np.float64).reshape(-1, 2)
         if feat.spectrum is not None:
             arrays[f"{feat.mol_id}/eigenvalues"] = feat.spectrum.eigenvalues
             arrays[f"{feat.mol_id}/eigenvectors"] = feat.spectrum.eigenvectors
-    write_arrays(path, CACHE_MAGIC, arrays, dict(header, count=len(features)))
+    listed = [[feat.mol_id, sorted(feat.molecule.labels)] for feat in features]
+    write_arrays(path, CACHE_MAGIC, arrays, dict(header, molecules=listed))
 
 
 def read_feature_cache(path) -> tuple[dict, dict[str, MolFeatures]]:
-    """(header, id -> MolFeatures) of a feature cache. Any fault in the
-    file, or a cache in an older layout, raises DataError."""
+    """(header, id -> MolFeatures) of a feature cache, in the order of the
+    header's ``molecules``, each with its molecule rebuilt from the cached
+    atomic numbers, coordinates, bonds and labels. Any fault in the file,
+    or a cache in an older layout, raises DataError."""
     try:
         header, arrays = read_arrays(path, CACHE_MAGIC, "feature cache")
     except DataError as exc:
@@ -281,20 +297,34 @@ def read_feature_cache(path) -> tuple[dict, dict[str, MolFeatures]]:
     for name, values in arrays.items():
         mol_id, _, field = name.rpartition("/")  # ids may contain "/"
         parts.setdefault(mol_id, {})[field] = values
+    try:
+        labels = {mol_id: frozenset(names) for mol_id, names in header["molecules"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"feature cache '{path}' has no valid molecule list ({exc!r}); "
+                        "re-run featurize") from exc
+    if labels.keys() != parts.keys():
+        raise DataError(f"feature cache '{path}' holds {len(parts)} molecules, its "
+                        f"header lists {len(labels)}; re-run featurize")
     kind = header.get("variant", "")
     features: dict[str, MolFeatures] = {}
-    for mol_id, part in parts.items():
-        if set(part) not in (_PLAIN_ARRAYS, _SPECTRAL_ARRAYS):
+    for mol_id, names in labels.items():
+        part = parts[mol_id]
+        extra = part.keys() - _MOLECULE_ARRAYS - {"bonds"}
+        if not _MOLECULE_ARRAYS <= part.keys() or extra not in (set(), _SPECTRUM_ARRAYS):
             raise DataError(f"feature cache '{path}': molecule '{mol_id}' has arrays "
                             f"{sorted(part)}; re-run featurize")
+        z, xyz, bonds = part["z"].astype(np.int64), part["xyz"], part.get("bonds")
+        if xyz.shape != (len(z), 3) or (bonds is not None and bonds.shape[1:] != (2,)):
+            raise DataError(f"feature cache '{path}': molecule '{mol_id}' has coordinates "
+                            "or bonds of the wrong shape; re-run featurize")
+        atoms = tuple(map(Atom, z.tolist(), zip(*xyz.T.tolist())))
+        if bonds is not None:
+            bonds = tuple(zip(*bonds.T.astype(np.int64).tolist()))
         spectrum = None
         if "eigenvalues" in part:
             part["eigenvalues"].flags.writeable = False
             part["eigenvectors"].flags.writeable = False
             spectrum = Spectrum(part["eigenvalues"], part["eigenvectors"])
-        features[mol_id] = MolFeatures(mol_id, kind, part["z"].astype(np.int64),
-                                       part["matrix"], spectrum)
-    if len(features) != header.get("count"):
-        raise DataError(f"feature cache '{path}' holds {len(features)} molecules, its "
-                        f"header says {header.get('count')}; re-run featurize")
+        features[mol_id] = MolFeatures(mol_id, kind, z, part["matrix"],
+                                       Molecule(mol_id, atoms, bonds, names), spectrum)
     return header, features

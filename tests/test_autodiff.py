@@ -57,6 +57,21 @@ class TestForwardValues:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    def test_selu_bit_identical_to_masked_formula(self):
+        # the reference is the np.where form of selu and its derivative
+        rng = np.random.default_rng(15)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 710.0, -750.0]
+        x = np.concatenate([specials, rng.normal(scale=3.0, size=20000)])
+        positive = x > 0.0
+        exp_neg = np.exp(np.where(positive, 0.0, x))
+        expected = ad.SELU_LAMBDA * np.where(positive, x, ad.SELU_ALPHA * (exp_neg - 1.0))
+        local = ad.SELU_LAMBDA * np.where(positive, 1.0, ad.SELU_ALPHA * exp_neg)
+        g = rng.normal(size=x.shape)
+        out = ad.selu(Tensor(x, requires_grad=True))
+        (grad,) = out.grad_fn(g)
+        assert np.array_equal(out.values.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(grad.view(np.int64), (g * local).view(np.int64))
+
     def test_selu_fixed_points(self):
         out = ad.selu(Tensor([0.0, 1.0]))
         assert out.values[0] == 0.0
@@ -278,6 +293,18 @@ class TestPrimitiveGradients:
         expected = np.zeros((6, 3))
         np.add.at(expected, idx, np.ones((4, 3)))
         assert np.array_equal(table.grad, expected)
+
+    def test_gather_rows_gradient_bit_equal_to_add_at(self):
+        # repeated rows must be summed in index order, as np.add.at does;
+        # weights spanning many magnitudes make any other order show
+        rng = np.random.default_rng(14)
+        table = Tensor(rng.normal(size=(87, 32)), requires_grad=True)
+        idx = rng.choice([0, 1, 1, 1, 6, 6, 6, 6, 7, 8, 16, 86], size=1300)
+        weights = rng.normal(size=(1300, 32)) * np.exp(rng.normal(scale=10.0, size=(1300, 1)))
+        ad.backward(ad.mul(ad.gather_rows(table, idx), Tensor(weights)).sum())
+        expected = np.zeros((87, 32))
+        np.add.at(expected, idx, weights)
+        assert np.array_equal(table.grad.view(np.int64), expected.view(np.int64))
 
     def test_layer_norm_gradient(self):
         rng = np.random.default_rng(12)

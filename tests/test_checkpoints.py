@@ -108,33 +108,61 @@ class TestStrictReads:
 
 
 class TestFeatureCacheStructure:
-    def _matrix_z(self):
-        return {"m/matrix": np.eye(2), "m/z": np.array([1.0, 1.0])}
+    ONE = {"molecules": [["m", ["x"]]]}
 
-    @pytest.mark.parametrize("drop", ["m/matrix", "m/z"])
+    def _one_molecule(self):
+        return {"m/matrix": np.eye(2), "m/z": np.array([1.0, 1.0]),
+                "m/xyz": np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.74]])}
+
+    def test_minimal_cache_reads(self, tmp_path):
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, self._one_molecule(), self.ONE)
+        _, got = read_feature_cache(tmp_path / "c.bin")
+        mol = got["m"].molecule
+        assert mol.atomic_numbers().tolist() == [1, 1]
+        assert mol.bonds is None and mol.labels == {"x"}
+
+    @pytest.mark.parametrize("drop", ["m/matrix", "m/z", "m/xyz"])
     def test_missing_matrix_or_z_rejected(self, tmp_path, drop):
-        arrays = self._matrix_z()
+        arrays = self._one_molecule()
         del arrays[drop]
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, {"count": 1})
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
         with pytest.raises(DataError, match="molecule 'm' has arrays"):
             read_feature_cache(tmp_path / "c.bin")
 
     @pytest.mark.parametrize("half", ["eigenvalues", "eigenvectors"])
     def test_half_a_spectrum_rejected(self, tmp_path, half):
-        arrays = dict(self._matrix_z(), **{f"m/{half}": np.eye(2)})
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, {"count": 1})
+        arrays = dict(self._one_molecule(), **{f"m/{half}": np.eye(2)})
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
         with pytest.raises(DataError, match="re-run featurize"):
             read_feature_cache(tmp_path / "c.bin")
 
     def test_count_mismatch_rejected(self, tmp_path):
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, self._matrix_z(), {"count": 2})
-        with pytest.raises(DataError, match="holds 1 molecules, its header says 2"):
+        header = {"molecules": [["m", []], ["n", []]]}
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, self._one_molecule(), header)
+        with pytest.raises(DataError, match="holds 1 molecules, its header lists 2"):
+            read_feature_cache(tmp_path / "c.bin")
+
+    @pytest.mark.parametrize("header", [{}, {"molecules": 3}, {"molecules": [["m"]]}])
+    def test_missing_or_malformed_molecule_list_rejected(self, tmp_path, header):
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, self._one_molecule(), header)
+        with pytest.raises(DataError, match="no valid molecule list.*re-run featurize"):
+            read_feature_cache(tmp_path / "c.bin")
+
+    @pytest.mark.parametrize("name, values", [
+        ("m/xyz", np.zeros((3, 3))),          # one row per atom expected
+        ("m/xyz", np.zeros((2, 2))),
+        ("m/bonds", np.array([[0.0, 1.0, 1.0]])),
+    ])
+    def test_wrong_coordinate_or_bond_shape_rejected(self, tmp_path, name, values):
+        arrays = dict(self._one_molecule(), **{name: values})
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
+        with pytest.raises(DataError, match="wrong shape; re-run featurize"):
             read_feature_cache(tmp_path / "c.bin")
 
     def test_previous_layout_asks_for_featurize(self, tmp_path):
         header = json.dumps({"count": 0}).encode("utf-8")
         path = tmp_path / "old.cache"
-        path.write_bytes(b"MPEC0001" + struct.pack("<I", len(header)) + header)
+        path.write_bytes(b"MPEC0002" + struct.pack("<I", len(header)) + header)
         with pytest.raises(DataError, match=r"bad magic.*re-run featurize"):
             read_feature_cache(path)
 
@@ -164,7 +192,8 @@ class TestFailedWriteKeepsPreviousFile:
         before = path.read_bytes()
         good = featurize_molecule(random_molecule(np.random.default_rng(3), "a"),
                                   "coulomb-gcn")
-        bad = MolFeatures("b", "coulomb-gcn", good.atomic_numbers, Exploding())
+        bad = MolFeatures("b", "coulomb-gcn", good.atomic_numbers, Exploding(),
+                          good.molecule)
         with pytest.raises(OSError):
             write_feature_cache(path, [good, bad], {"variant": "coulomb-gcn"})
         self._assert_unchanged(path, before)

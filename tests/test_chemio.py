@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from molpeco import chemio
 from molpeco.chemio import (
     Atom,
     Molecule,
@@ -79,6 +80,16 @@ class TestParseMolecules:
             {"id": "m1", "atoms": [["Xx", 0, 0, 0]], "labels": []},
         ])
         with pytest.raises(ParseError, match="Xx"):
+            parse_molecules(path)
+
+    @pytest.mark.parametrize("atom", [["H", 0, "nan", 0], ["H", 0, 0, float("inf")],
+                                      [0, 0, 0, 0]])
+    def test_invalid_atom_names_line_and_molecule(self, tmp_path, atom):
+        path = write_jsonl(tmp_path / "m.jsonl", [
+            {"id": "ok", "atoms": [["H", 0, 0, 0]], "labels": []},
+            {"id": "bad", "atoms": [["C", 1, 1, 1], atom], "labels": []},
+        ])
+        with pytest.raises(ParseError, match="line 2: molecule 'bad'"):
             parse_molecules(path)
 
     def test_integer_atomic_numbers_accepted(self, tmp_path):
@@ -249,3 +260,89 @@ class TestStratifiedSplit:
                                     "test": [3]}), encoding="utf-8")
         with pytest.raises(DataError, match="not integers"):
             load_split(path, 4)
+
+
+def _min_scan_split(ds, fractions, seed):
+    """``stratified_split`` as it was before it kept the label-pair keys in
+    a heap: each step rescans every key for the minimum (remaining, key)."""
+    n = len(ds)
+    targets = ds.targets
+    sample_keys, key_to_samples = [], {}
+    for idx in range(n):
+        keys = chemio._label_pairs(np.flatnonzero(targets[idx]).tolist())
+        sample_keys.append(keys)
+        for key in keys:
+            key_to_samples.setdefault(key, []).append(idx)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    capacity = [n * f for f in fractions]
+    desired = {key: [len(samples) * f for f in fractions]
+               for key, samples in key_to_samples.items()}
+    remaining = {key: len(samples) for key, samples in key_to_samples.items()}
+    assigned = np.full(n, -1, dtype=np.int64)
+
+    def pick_fold(scores):
+        best = max(scores)
+        tied = [f for f, s in enumerate(scores) if s == best]
+        if len(tied) > 1:
+            cap_best = max(capacity[f] for f in tied)
+            tied = [f for f in tied if capacity[f] == cap_best]
+        return tied[0]
+
+    while True:
+        active = [(count, key) for key, count in remaining.items() if count > 0]
+        if not active:
+            break
+        _, scarce_key = min(active)
+        for idx in sorted(key_to_samples[scarce_key], key=lambda i: rank[i]):
+            if assigned[idx] >= 0:
+                continue
+            fold = pick_fold(desired[scarce_key])
+            assigned[idx] = fold
+            capacity[fold] -= 1.0
+            for key in sample_keys[idx]:
+                desired[key][fold] -= 1.0
+                remaining[key] -= 1
+    for idx in order:
+        if assigned[idx] < 0:
+            fold = pick_fold(capacity)
+            assigned[idx] = fold
+            capacity[fold] -= 1.0
+    chemio._repair_label_ratios(targets, assigned)
+    folds = [[], [], []]
+    for idx in range(n):
+        folds[assigned[idx]].append(idx)
+    return chemio.Split(tuple(folds[0]), tuple(folds[1]), tuple(folds[2]), seed)
+
+
+def _many_descriptor_set(seed, count=300, descriptors=118):
+    """Molecules with 0-6 of 118 descriptors drawn with Zipf-like
+    frequencies, so many label pairs tie on their counts."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, descriptors + 1)
+    atoms = (Atom(6, (0.0, 0.0, 0.0)),)
+    molecules = []
+    for i in range(count):
+        k = int(rng.integers(0, 7))
+        chosen = rng.choice(descriptors, size=k, replace=False, p=weights / weights.sum())
+        molecules.append(Molecule(f"m{i}", atoms, None,
+                                  frozenset(f"d{j:03d}" for j in chosen)))
+    return build_dataset(molecules)
+
+
+class TestScarceKeyOrder:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_greedy_assignment_equals_min_scan(self, monkeypatch, seed):
+        # without the repair pass the split is the greedy assignment alone
+        monkeypatch.setattr(chemio, "_repair_label_ratios", lambda targets, assigned: None)
+        ds = _many_descriptor_set(seed)
+        assert ds.num_descriptors > 100
+        fractions = (0.8, 0.1, 0.1)
+        assert stratified_split(ds, fractions, seed) == _min_scan_split(ds, fractions, seed)
+
+    def test_split_equals_min_scan(self):
+        ds = _many_descriptor_set(3)
+        fractions = (0.6, 0.2, 0.2)
+        assert stratified_split(ds, fractions, 7) == _min_scan_split(ds, fractions, 7)

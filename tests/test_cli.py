@@ -9,14 +9,16 @@ import sys
 import numpy as np
 import pytest
 
-from molpeco import cli, train
-from molpeco.checkpoints import load_checkpoint
+from molpeco import chemio, cli, train
+from molpeco.checkpoints import load_checkpoint, read_arrays, write_arrays
 from molpeco.chemio import serialize_molecules
 from molpeco.cli import main, read_embeddings, retrieve_neighbors
+from molpeco.config import RunConfig
 from molpeco.errors import DataError
+from molpeco.features import CACHE_MAGIC
 from molpeco.metrics import METRIC_NAMES
 
-from synthdata import structure_labeled_set
+from synthdata import organic_molecule, structure_labeled_set
 
 
 @pytest.fixture()
@@ -123,6 +125,72 @@ class TestPipeline:
         assert first == second
 
 
+class TestParseOnce:
+    def test_train_eval_embed_do_not_parse_the_dataset(self, workspace, monkeypatch):
+        tmp_path, config_path, _ = workspace
+        assert run_cli("featurize", "--config", config_path) == 0
+        assert run_cli("split", "--config", config_path) == 0
+        artifacts = ["out/checkpoint.bin", "out/history.csv", "out/report_val.json",
+                     "out/report_val.csv", "out/embeddings_val.csv"]
+
+        def after_split():
+            for command in (["train"], ["eval", "--part", "val"], ["embed", "--part", "val"]):
+                assert run_cli(*command, "--config", config_path) == 0
+            return {name: (tmp_path / name).read_bytes() for name in artifacts}
+
+        parsed = after_split()
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the dataset file was parsed")
+
+        monkeypatch.setattr(chemio, "parse_molecules", no_parse)
+        assert after_split() == parsed
+
+    def test_cached_dataset_equals_parsed_dataset(self, tmp_path):
+        rng = np.random.default_rng(4)
+        bonded = [organic_molecule(rng, f"org/{i}", int(rng.integers(10, 30)))
+                  for i in range(6)]
+        plain = structure_labeled_set(rng, count=8).molecules
+        records = []
+        for i, mol in enumerate(bonded + list(plain)):
+            record = {"id": mol.id, "atoms": [[a.atomic_number, *a.position]
+                                              for a in mol.atoms],
+                      "labels": sorted(mol.labels | {f"d{i % 3}"})}
+            if mol.bonds is not None:
+                record["bonds"] = [list(b) for b in mol.bonds]
+            records.append(record)
+        records[1]["labels"] = ["odorless", "d0"]  # a conflict: dropped by cleaning
+        records[2]["labels"] = ["rare"]             # a descriptor below min count
+        records.append({"id": "single", "atoms": [["O", 0.5, -1.25, 3.0]],
+                        "bonds": [], "labels": ["d1"]})
+        # a duplicate of a bond-less molecule: labels merge, its bonds are kept
+        records.append({**records[8], "labels": ["d2", "extra"],
+                        "bonds": [[0, 1]]})
+        data = tmp_path / "molecules.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        config = RunConfig(data_path=str(data), cache_path=str(tmp_path / "f.cache"),
+                           variant="coulomb-gcn", min_label_count=2)
+        assert cli.cmd_featurize(config) == 0
+
+        cached, features = cli._load_cached(config)
+        parsed = cli._clean(config, cli._parse_dataset(config))
+        assert list(features) == list(dict.fromkeys(r["id"] for r in records))
+        assert [m.id for m in cached.molecules] == [m.id for m in parsed.molecules]
+        by_id = {m.id: m for m in parsed.molecules}
+        assert len(by_id) == len(records) - 2 and records[1]["id"] not in by_id
+        assert by_id["single"].bonds == ()
+        assert by_id[records[8]["id"]].bonds == ((0, 1),)
+        assert by_id[records[9]["id"]].bonds is None
+        for got, want in zip(cached.molecules, parsed.molecules):
+            assert got.atoms == want.atoms
+            assert [type(a.atomic_number) for a in got.atoms] == [int] * got.num_atoms
+            assert got.bonds == want.bonds
+            assert got.labels == want.labels
+        assert np.array_equal(cached.targets, parsed.targets)
+        assert cached.targets.dtype == parsed.targets.dtype
+        assert cached.vocabulary == parsed.vocabulary
+
+
 class TestSweep:
     def test_depth_sweep_rows(self, workspace):
         tmp_path, config_path, _ = workspace
@@ -173,7 +241,7 @@ class TestExitCodes:
         assert run_cli("featurize", "--config", config_path) == 0
         assert run_cli("split", "--config", config_path) == 0
         cache = tmp_path / "features.cache"
-        cache.write_bytes(b"MPEC0001" + cache.read_bytes()[8:])
+        cache.write_bytes(b"MPEC0002" + cache.read_bytes()[8:])
         capsys.readouterr()
         assert run_cli("train", "--config", config_path) == 3
         assert "re-run featurize" in capsys.readouterr().err
@@ -204,6 +272,33 @@ class TestExitCodes:
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob
         assert not list(out.glob("*.tmp"))
+
+    def test_cache_without_dataset_hash_is_data_error(self, workspace, capsys):
+        tmp_path, config_path, _ = workspace
+        assert run_cli("featurize", "--config", config_path) == 0
+        assert run_cli("split", "--config", config_path) == 0
+        cache = tmp_path / "features.cache"
+        header, arrays = read_arrays(cache, CACHE_MAGIC, "feature cache")
+        del header["dataset_sha256"]
+        write_arrays(cache, CACHE_MAGIC, arrays, header)
+        capsys.readouterr()
+        for command in (["train"], ["eval", "--part", "val"], ["embed", "--part", "val"]):
+            assert run_cli(*command, "--config", config_path) == 3
+            assert "does not record which dataset file" in capsys.readouterr().err
+
+    def test_dataset_edited_after_featurize_is_data_error(self, workspace, capsys):
+        tmp_path, config_path, _ = workspace
+        for command in ("featurize", "split", "train"):
+            assert run_cli(command, "--config", config_path) == 0
+        data = tmp_path / "molecules.jsonl"
+        lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["atoms"][0][1] += 0.5  # still a valid molecule
+        data.write_text(json.dumps(record) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        capsys.readouterr()
+        for command in (["train"], ["eval", "--part", "val"], ["embed", "--part", "val"]):
+            assert run_cli(*command, "--config", config_path) == 3
+            assert "different dataset file" in capsys.readouterr().err
 
     def test_cache_signature_mismatch(self, workspace):
         tmp_path, config_path, _ = workspace

@@ -505,16 +505,20 @@ class TestFeaturizeMolecule:
 class TestFeatureCache:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
-        mols = [random_molecule(rng, f"m{i}", with_bonds=True) for i in range(4)]
+        mols = [random_molecule(rng, f"m{i}", with_bonds=i > 0,
+                                labels={"b", "a"} if i % 2 else ()) for i in range(4)]
         feats = [featurize_molecule(m, "mol-peco-sym", "frobenius") for m in mols]
         header = {"variant": "mol-peco-sym", "normalization": "frobenius", "p": 20}
         path = tmp_path / "cache.bin"
         write_feature_cache(path, feats, header)
         got_header, got = read_feature_cache(path)
         assert got_header["variant"] == "mol-peco-sym"
-        assert got_header["count"] == 4
-        for feat in feats:
+        assert got_header["molecules"] == [["m0", []], ["m1", ["a", "b"]],
+                                           ["m2", []], ["m3", ["a", "b"]]]
+        assert list(got) == ["m0", "m1", "m2", "m3"]
+        for mol, feat in zip(mols, feats):
             loaded = got[feat.mol_id]
+            assert loaded.molecule == mol
             assert np.array_equal(loaded.matrix, feat.matrix)
             assert np.array_equal(loaded.atomic_numbers, feat.atomic_numbers)
             assert np.array_equal(loaded.spectrum.eigenvalues, feat.spectrum.eigenvalues)

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 
-from molpeco import autodiff, chemio, cli, features, model, train
+import json
 
-from synthdata import random_molecule
+from molpeco import autodiff, chemio, cli, features, model, train
+from molpeco.chemio import serialize_molecules
+
+from synthdata import random_molecule, structure_labeled_set
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,3 +78,35 @@ def test_retrieve_calls_the_traced_reader_and_ranker_once(monkeypatch, tmp_path,
     assert table["cli.read_embeddings.calls"] == 1
     assert table["cli.retrieve_neighbors.calls"] == 1
     assert capsys.readouterr().out.splitlines()[0].startswith("1,c,")
+
+
+def test_pipeline_parses_the_dataset_twice_and_reads_the_cache_three_times(
+        monkeypatch, tmp_path):
+    # featurize and split parse the dataset file; train, eval and embed
+    # rebuild it from the feature cache
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    data = tmp_path / "molecules.jsonl"
+    serialize_molecules(structure_labeled_set(np.random.default_rng(0)), data)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "data_path": str(data), "cache_path": str(tmp_path / "features.cache"),
+        "split_path": str(tmp_path / "split.json"), "out_dir": str(tmp_path / "out"),
+        "variant": "coulomb-gcn", "min_label_count": 1, "d": 8, "gcn_layers": 1,
+        "z_max": 20, "fractions": [0.6, 0.2, 0.2], "max_epochs": 1}), encoding="utf-8")
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        tracer.round = 0
+        for command in (["featurize"], ["split"], ["train"], ["eval", "--part", "test"],
+                        ["embed", "--part", "test"]):
+            assert cli.main([*command, "--config", str(config)]) == 0
+    finally:
+        tracer.round = None
+        tracer.unwrap_all()
+    table = tracer.per_round()[0]
+    assert table["chemio.parse.calls"] == 2
+    assert table["features.cache_read.calls"] == 3
+    assert table["features.cache_write.calls"] == 1
