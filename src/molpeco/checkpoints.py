@@ -3,11 +3,12 @@
 ``replacing(path)`` is the one write path: it writes ``<path>.tmp`` and
 moves it over ``path`` with ``os.replace``, so a failed or killed write
 leaves ``path`` as it was. ``write_arrays`` / ``read_arrays`` hold the one
-binary layout, used by checkpoints ("MPCK0001") and the feature cache
-("MPEC0003"): magic, u32 little-endian JSON header length, canonical JSON
-header, u32 array count, then per array sorted by name (so identical
-contents serialize byte-identically): u32 name length + UTF-8 name, u32
-ndim, u32 dims, float64 little-endian payload. ``write_csv`` writes every
+binary layout, used by checkpoints ("MPCK0001"), the feature cache
+("MPEC0003") and the binary copy of an embedding CSV ("MPEM0001"):
+magic, u32 little-endian JSON header length, canonical JSON header, u32
+array count, then per array sorted by name (so identical contents
+serialize byte-identically): u32 name length + UTF-8 name, u32 ndim, u32
+dims, float64 little-endian payload. ``write_csv`` writes every
 CSV table.
 """
 
@@ -87,8 +88,13 @@ def read_arrays(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarr
             name = take(name_len).decode("utf-8")
             (ndim,) = struct.unpack("<I", take(4))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            payload = take(8 * math.prod(shape))
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            size = math.prod(shape)
+            if offset + 8 * size > len(blob):
+                raise DataError(f"{what} '{path}' is truncated")
+            # one copy, straight out of the file's bytes, not through take():
+            # every array owns its memory and is writable
+            arrays[name] = np.frombuffer(blob, "<f8", size, offset).reshape(shape).copy()
+            offset += 8 * size
     except ValueError as exc:  # undecodable UTF-8 or JSON
         raise DataError(f"{what} '{path}' is corrupt: {exc}") from exc
     if offset != len(blob):

@@ -10,7 +10,10 @@ configurations reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, fields, replace
@@ -19,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import chemio
-from .checkpoints import load_checkpoint, replacing, save_checkpoint, write_csv
+from .checkpoints import (load_checkpoint, read_arrays, replacing, save_checkpoint,
+                          write_arrays, write_csv)
 from .config import RunConfig, UsageError, apply_overrides, load_config
 from .errors import DataError, MolpecoError, NumericError
 from .features import featurize_molecule, read_feature_cache, write_feature_cache
@@ -225,13 +229,59 @@ def cmd_embed(config: RunConfig, part: str) -> int:
     return 0
 
 
+EMBEDDINGS_MAGIC = b"MPEM0001"
+
+
 def read_embeddings(path) -> tuple[list[str], np.ndarray]:
     """The ids and the ``(N, d)`` float64 vectors of an embedding CSV.
+
+    A parse that passes every check writes a binary copy, ``<path>.bin``,
+    keyed by the SHA-256 of the CSV's bytes; a later read of the same
+    bytes returns the copy's ids and vectors without parsing. When the
+    copy is missing, stale or unreadable, the CSV is parsed and the copy
+    rewritten; a copy that cannot be written is skipped, since the CSV
+    stays the source of truth.
 
     Raises DataError for a file that is not ``id,e0..e{d-1}``, a ragged
     row, a non-numeric or non-finite cell, or an empty or repeated id.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    # the parse decodes the bytes that were hashed; closing the stream after
+    # decoding frees them before the numbers are parsed
+    with open(path, "rb") as handle:
+        data = io.BytesIO(handle.read())
+    digest = hashlib.sha256(data.getvalue()).hexdigest()
+    copy = os.fspath(path) + ".bin"
+    stored = _read_embedding_copy(copy, digest)
+    if stored is not None:
+        return stored
+    ids, vectors = _parse_embeddings(path, data)
+    with contextlib.suppress(OSError):
+        write_arrays(copy, EMBEDDINGS_MAGIC, {"vectors": vectors},
+                     {"csv_sha256": digest, "ids": ids})
+    return ids, vectors
+
+
+def _read_embedding_copy(copy, digest: str) -> tuple[list[str], np.ndarray] | None:
+    """The ``(ids, vectors)`` a binary copy holds for CSV bytes hashing to
+    ``digest``, or None if it is missing, unreadable or for other bytes."""
+    try:
+        header, arrays = read_arrays(copy, EMBEDDINGS_MAGIC, "binary embedding copy")
+    except (OSError, DataError):
+        return None
+    if not isinstance(header, dict) or header.get("csv_sha256") != digest:
+        return None
+    ids, vectors = header.get("ids"), arrays.get("vectors")
+    if (isinstance(ids, list) and all(isinstance(mol_id, str) for mol_id in ids)
+            and vectors is not None and vectors.ndim == 2 and len(vectors) == len(ids)):
+        return ids, vectors
+    return None
+
+
+def _parse_embeddings(path, data: io.BytesIO) -> tuple[list[str], np.ndarray]:
+    """Parse and check the CSV bytes ``data`` read from ``path``."""
+    # a text stream, not str.splitlines: the same universal-newline
+    # splitting as reading the file in text mode
+    with io.TextIOWrapper(data, encoding="utf-8") as handle:
         lines = [line for line in handle if not line.startswith("#")]
     if not lines or lines[0].rstrip("\n").split(",")[0] != "id":
         raise DataError(f"'{path}' is not an embedding file")

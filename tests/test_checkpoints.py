@@ -12,6 +12,7 @@ import pytest
 
 from molpeco.checkpoints import (
     load_checkpoint,
+    read_arrays,
     replacing,
     save_checkpoint,
     write_arrays,
@@ -105,6 +106,23 @@ class TestStrictReads:
         path.write_bytes(b"NOTMAGIC" + path.read_bytes()[8:])
         with pytest.raises(DataError, match="bad magic"):
             read(path)
+
+
+def test_read_arrays_returns_writable_arrays_that_share_no_memory(tmp_path):
+    # checkpoints load into trainable parameters, and the feature cache
+    # makes its own copies read-only
+    rng = np.random.default_rng(4)
+    arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=5),
+              "empty": np.zeros((0, 2)), "last": rng.normal(size=(2, 2, 2))}
+    write_arrays(tmp_path / "a.bin", b"TEST0001", arrays, {})
+    _, read = read_arrays(tmp_path / "a.bin", b"TEST0001", "test file")
+    assert {name: value.tobytes() for name, value in read.items()} == \
+        {name: value.tobytes() for name, value in arrays.items()}
+    for name, value in read.items():
+        assert value.flags.writeable and value.flags.owndata
+        assert value.shape == arrays[name].shape
+        for other in read.values():
+            assert other is value or not np.shares_memory(value, other)
 
 
 class TestFeatureCacheStructure:

@@ -2,7 +2,9 @@
 cache validation, and reproducibility."""
 
 import errno
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -472,10 +474,13 @@ class TestRetrieval:
         cells = [[repr(float(v)) for v in row] for row in values.reshape(41, 5)]
         path = write_embeddings(tmp_path / "e.csv", "id,e0,e1,e2,e3,e4\n" + "".join(
             f"m{i},{','.join(row)}\n" for i, row in enumerate(cells)))
-        ids, vectors = read_embeddings(path)
-        assert ids == [f"m{i}" for i in range(41)]
         expected = np.array([[float(cell) for cell in row] for row in cells])
-        assert vectors.tobytes() == expected.tobytes()
+        # the first read parses the text, the second reads the binary copy
+        for _ in range(2):
+            ids, vectors = read_embeddings(path)
+            assert ids == [f"m{i}" for i in range(41)]
+            assert vectors.tobytes() == expected.tobytes()
+            assert (tmp_path / "e.csv.bin").is_file()
 
     @pytest.mark.parametrize("rows", [
         "a,1.0,2.0\nb,1.0\n",           # ragged row
@@ -506,3 +511,86 @@ class TestRetrieval:
                                 "id,e0,e1\na,1.0,0.0\nb,0.0,1.0\nc,2.0,0.0\n")
         assert run_cli("retrieve", "--embeddings", path, "--query", "a", "--k", "5") == 0
         assert capsys.readouterr().out == "1,c,1.0\n2,b,0.0\n"
+
+
+class TestEmbeddingCopy:
+    """``<csv>.bin``, the binary copy keyed by the CSV's SHA-256 that
+    answers a re-read of unchanged bytes without parsing them."""
+
+    ROWS = "id,e0,e1\na,1.0,0.0\nb,0.0,1.0\nc,2.0,0.5\n"
+
+    def retrieve(self, path, capsys, code=0):
+        assert run_cli("retrieve", "--embeddings", path, "--query", "a", "--k", "2") == code
+        assert not list(path.parent.glob("*.tmp"))
+        return capsys.readouterr().out
+
+    def test_line_ends_are_universal_newlines(self, tmp_path):
+        # \r\n and \r end rows, as in a file read in text mode; \x0c and
+        # \u2028 inside an id do not
+        path = tmp_path / "e.csv"
+        path.write_bytes("id,e0\r\nm\x0c1,1.0\rm\u20282,2.0\nm3,3.0\r\n".encode("utf-8"))
+        for _ in range(2):
+            ids, vectors = read_embeddings(path)
+            assert ids == ["m\x0c1", "m\u20282", "m3"]
+            assert vectors.tolist() == [[1.0], [2.0], [3.0]]
+
+    def test_edit_keeping_size_and_mtime_is_reparsed(self, tmp_path, capsys):
+        path = write_embeddings(tmp_path / "e.csv", self.ROWS)
+        assert self.retrieve(path, capsys).startswith("1,c,")
+        before = path.stat()
+        path.write_bytes(path.read_bytes().replace(b"b,0.0,1.0", b"b,9.0,1.0"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert self.retrieve(path, capsys).startswith("1,b,")
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong magic", "foreign hash",
+                                        "ids length"])
+    def test_bad_copy_is_reparsed_and_rewritten(self, tmp_path, capsys, damage):
+        path = write_embeddings(tmp_path / "e.csv", self.ROWS)
+        copy = tmp_path / "e.csv.bin"
+        expected = self.retrieve(path, capsys)
+        good = copy.read_bytes()
+        header, arrays = read_arrays(copy, cli.EMBEDDINGS_MAGIC, "embedding copy")
+        if damage == "truncated":
+            copy.write_bytes(good[:-1])
+        elif damage == "wrong magic":
+            copy.write_bytes(b"MPEM0000" + good[8:])
+        elif damage == "foreign hash":
+            # read as a hit, these vectors would rank b first
+            vectors = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
+            write_arrays(copy, cli.EMBEDDINGS_MAGIC, {"vectors": vectors},
+                         dict(header, csv_sha256=hashlib.sha256(b"other").hexdigest()))
+        else:
+            write_arrays(copy, cli.EMBEDDINGS_MAGIC, arrays, dict(header, ids=["a", "c"]))
+        assert self.retrieve(path, capsys) == expected
+        assert copy.read_bytes() == good
+
+    def test_failed_copy_write_still_answers(self, tmp_path, capsys, monkeypatch):
+        path = write_embeddings(tmp_path / "e.csv", self.ROWS)
+        real_write = cli.write_arrays
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        class FailingArray:
+            __array__ = full_disk
+
+        def failing_write(path, magic, arrays, metadata):
+            # the vectors are written, then the disk fills
+            real_write(path, magic, dict(arrays, zz=FailingArray()), metadata)
+
+        monkeypatch.setattr(cli, "write_arrays", failing_write)
+        unwritten = self.retrieve(path, capsys)
+        assert not (tmp_path / "e.csv.bin").exists()
+        monkeypatch.undo()
+        assert self.retrieve(path, capsys) == unwritten
+        assert (tmp_path / "e.csv.bin").is_file()
+
+    def test_malformed_csv_beside_a_valid_copy_exits_3(self, tmp_path, capsys):
+        path = write_embeddings(tmp_path / "e.csv", self.ROWS)
+        self.retrieve(path, capsys)
+        copy = (tmp_path / "e.csv.bin").read_bytes()
+        write_embeddings(path, self.ROWS + "d,1.0\n")
+        assert self.retrieve(path, capsys, code=3) == ""
+        assert (tmp_path / "e.csv.bin").read_bytes() == copy

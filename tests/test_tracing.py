@@ -58,26 +58,37 @@ def test_cache_mb_counts_the_written_cache_file(monkeypatch, tmp_path):
 
 def test_retrieve_calls_the_traced_reader_and_ranker_once(monkeypatch, tmp_path, capsys):
     # the tracer wraps the module globals; a retrieve that bypassed them
-    # would report zero read and rank time
+    # would report zero read and rank time. The second retrieve of the same
+    # file reads the binary copy the first one wrote, through the same
+    # traced reader, and parses no text
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     import spans
 
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the embedding CSV was parsed again")
+
     path = tmp_path / "embeddings.csv"
     path.write_text("id,e0,e1\na,1.0,0.0\nb,0.0,1.0\nc,2.0,0.5\n", encoding="utf-8")
     tracer = spans.Tracer()
+    argv = ["retrieve", "--embeddings", str(path), "--query", "a", "--k", "2"]
     try:
         layers.install(tracer)
         tracer.round = 0
-        assert cli.main(["retrieve", "--embeddings", str(path), "--query", "a",
-                         "--k", "2"]) == 0
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        tracer.round = 1
+        assert cli.main(argv) == 0
     finally:
         tracer.round = None
         tracer.unwrap_all()
-    table = tracer.per_round()[0]
-    assert table["cli.read_embeddings.calls"] == 1
-    assert table["cli.retrieve_neighbors.calls"] == 1
-    assert capsys.readouterr().out.splitlines()[0].startswith("1,c,")
+    for round_index in (0, 1):
+        table = tracer.per_round()[round_index]
+        assert table["cli.read_embeddings.calls"] == 1
+        assert table["cli.retrieve_neighbors.calls"] == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("1,c,")
+    assert lines[:2] == lines[2:]
 
 
 def test_pipeline_parses_the_dataset_twice_and_reads_the_cache_three_times(
