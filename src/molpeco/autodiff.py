@@ -1,6 +1,5 @@
-"""Dense tensors with reverse-mode differentiation, plus the neural
-building blocks used by the model: linear maps, SELU, layer normalization,
-softmax attention, and a pre-norm transformer encoder block.
+"""Dense tensors with reverse-mode differentiation, plus the model's
+transformer encoder as one op with a hand-written backward.
 
 Everything runs in double precision. Operations never mutate their inputs;
 ``backward`` accumulates gradients additively into the reachable leaves, so
@@ -11,7 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -53,10 +52,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.values.size if axis is None else self.values.shape[axis]
-        return tensor_sum(self, axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape if len(shape) > 1 else shape[0])
@@ -431,39 +426,8 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Neural building blocks
+# Transformer encoder
 # ---------------------------------------------------------------------------
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then apply a
-    learned per-feature gain and bias."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mul(centered, centered).mean(axis=-1, keepdims=True)
-    std = sqrt(add(var, constant(eps)))
-    return add(mul(div(centered, std), gain), bias)
-
-
-def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention over the second-last axis: every row
-    attends to every row."""
-    d_k = q.values.shape[-1]
-    if d_k == 0:
-        raise ShapeError("attention requires d_k >= 1")
-    if q.values.shape[-2] != k.values.shape[-2] or k.values.shape[-2] != v.values.shape[-2]:
-        raise ShapeError(
-            f"attention row counts differ: Q {q.shape}, K {k.shape}, V {v.shape}"
-        )
-    scores = mul(matmul(q, transpose(k)), constant(1.0 / math.sqrt(d_k)))
-    return matmul(softmax_last(scores), v)
-
 
 @dataclass
 class TransformerBlockParams:
@@ -488,20 +452,112 @@ class TransformerBlockParams:
     ffn_b2: Tensor
 
 
-def transformer_block(x: Tensor, params: TransformerBlockParams) -> Tensor:
-    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.))."""
-    h = layer_norm(x, params.ln1_gain, params.ln1_bias)
-    attended = softmax_attention(
-        linear(h, params.wq, params.bq),
-        linear(h, params.wk, params.bk),
-        linear(h, params.wv, params.bv),
-    )
-    x = add(x, linear(attended, params.wo, params.bo))
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``x`` at zero mean and unit variance (of the variance plus
+    1e-5), and the reciprocal standard deviations used."""
+    xhat = x - (x @ np.full(x.shape[1], 1.0 / x.shape[1]))[:, None]
+    rstd = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / x.shape[1] + 1e-5)
+    xhat *= rstd[:, None]
+    return xhat, rstd
 
-    h = layer_norm(x, params.ln2_gain, params.ln2_bias)
-    ff = linear(selu(linear(h, params.ffn_w1, params.ffn_b1)),
-                params.ffn_w2, params.ffn_b2)
-    return add(x, ff)
+
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, rstd: np.ndarray,
+                         gain: np.ndarray):
+    """Gradients of the layer norm ``xhat * gain + bias`` for the input of
+    ``_normalize``, for ``gain`` and for ``bias``."""
+    ones, mean_gain = np.ones(len(g)), gain / g.shape[1]
+    g_xhat = g * xhat
+    g_gain = ones @ g_xhat
+    gx = g * gain
+    gx -= (g @ mean_gain)[:, None]
+    gx -= np.multiply(xhat, (g_xhat @ mean_gain)[:, None], out=g_xhat)
+    gx *= rstd[:, None]
+    return gx, g_gain, ones @ g
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = x @ w
+    out += b
+    return out
+
+
+def _encoder_block(x: np.ndarray, weights: tuple, pairs: int, saved: Optional[list]):
+    """One pre-norm block, x + Attn(LN(x)) and then + FFN(LN(.)), over
+    ``(rows, d)`` rows of which each run of ``pairs`` is one sequence.
+    Appends what the backward reads to ``saved`` unless it is None."""
+    g1, c1, wq, bq, wk, bk, wv, bv, wo, bo, g2, c2, w1, b1, w2, b2 = weights
+    d = x.shape[1]
+    # a norm's gain and bias fold into the product after it, (xhat g + c) @ w
+    # + b = xhat @ (g w) + (c @ w + b); the score scale 1/sqrt(d) into the
+    # query's weights and SELU's lambda into w2
+    xhat1, rstd1 = _normalize(x)
+    q3, k3, v3 = (_affine(xhat1, g1[:, None] * w, c1 @ w + b).reshape(-1, pairs, d)
+                  for w, b in ((wq / math.sqrt(d), bq / math.sqrt(d)), (wk, bk), (wv, bv)))
+    attn = q3 @ np.swapaxes(k3, -1, -2)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= (attn @ np.ones(pairs))[..., None]
+    mixed = (attn @ v3).reshape(-1, d)
+    x1 = _affine(mixed, wo, bo)
+    x1 += x
+    xhat2, rstd2 = _normalize(x1)
+    act = _affine(xhat2, g2[:, None] * w1, c2 @ w1 + b1)
+    neg = np.minimum(act, 0.0)
+    np.expm1(neg, out=neg)
+    neg *= SELU_ALPHA
+    np.maximum(act, 0.0, out=act)
+    act += neg
+    out = _affine(act, w2 * SELU_LAMBDA, b2)
+    out += x1
+    if saved is not None:
+        saved.append((xhat1, rstd1, q3, k3, v3, attn, mixed, xhat2, rstd2, act))
+    return out
+
+
+def _encoder_block_backward(g: np.ndarray, weights: tuple, saved: tuple):
+    """Gradients of ``_encoder_block`` for its input and its 16 weights."""
+    g1, c1, wq, _, wk, _, wv, _, wo, _, g2, c2, w1, _, w2, _ = weights
+    xhat1, rstd1, q3, k3, v3, attn, mixed, xhat2, rstd2, act = saved
+    # act is SELU / lambda, whose slope is 1 where act > 0, else act + alpha
+    slope = np.minimum(act, 0.0) + SELU_ALPHA
+    slope -= (act > 0.0) * (SELU_ALPHA - 1.0)
+    g_act = np.multiply(g @ (w2.T * SELU_LAMBDA), slope, out=slope)
+    gx1, g_g2, g_c2 = _layer_norm_backward(g_act @ w1.T, xhat2, rstd2, g2)
+    gx1 += g
+    g_mixed = (gx1 @ wo.T).reshape(v3.shape)
+    g_attn = g_mixed @ np.swapaxes(v3, -1, -2)
+    g_attn -= np.einsum("nij,nij->ni", g_attn, attn)[..., None]
+    g_attn *= attn
+    gq = (g_attn @ k3).reshape(g.shape) / math.sqrt(g.shape[1])
+    gk = (np.swapaxes(g_attn, -1, -2) @ q3).reshape(g.shape)
+    gv = (np.swapaxes(attn, -1, -2) @ g_mixed).reshape(g.shape)
+    gx, g_g1, g_c1 = _layer_norm_backward(gq @ wq.T + gk @ wk.T + gv @ wv.T, xhat1, rstd1, g1)
+    gx += gx1
+    ones, h1, h2 = np.ones(len(g)), xhat1 * g1 + c1, xhat2 * g2 + c2
+    return gx, (g_g1, g_c1, h1.T @ gq, ones @ gq, h1.T @ gk, ones @ gk, h1.T @ gv, ones @ gv,
+                mixed.T @ gx1, ones @ gx1, g_g2, g_c2, h2.T @ g_act, ones @ g_act,
+                (act.T @ g) * SELU_LAMBDA, ones @ g)
+
+
+def transformer_encoder(x: Tensor, blocks: Sequence[TransformerBlockParams]) -> Tensor:
+    """Pre-norm encoder blocks as one op on ``x`` of shape ``(..., m, d)``,
+    whose every m rows form a sequence. The forward is the same arithmetic
+    with or without a graph; with one it keeps what the hand-written
+    backward reads for the gradients of ``x`` and every block weight."""
+    tensors = [getattr(block, f.name) for block in blocks for f in fields(block)]
+    weights = [tuple(getattr(block, f.name).values for f in fields(block)) for block in blocks]
+    saved = [] if _grad_enabled and any(t.requires_grad for t in (x, *tensors)) else None
+    h = x.values.reshape(-1, x.values.shape[-1])
+    for block_weights in weights:
+        h = _encoder_block(h, block_weights, x.values.shape[-2], saved)
+
+    def grad_fn(g):
+        grads, g = [], g.reshape(h.shape)
+        for block_weights, block_saved in zip(reversed(weights), reversed(saved)):
+            g, block_grads = _encoder_block_backward(g, block_weights, block_saved)
+            grads[:0] = block_grads
+        return (g.reshape(x.values.shape), *grads)
+    return _node(h.reshape(x.values.shape), (x, *tensors), grad_fn, "transformer_encoder")
 
 
 # ---------------------------------------------------------------------------

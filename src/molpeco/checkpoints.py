@@ -52,7 +52,8 @@ def write_arrays(path, magic: bytes, arrays: dict[str, np.ndarray], metadata: di
         handle.write(meta_bytes)
         handle.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):
-            values = np.ascontiguousarray(arrays[name], dtype="<f8")
+            # tobytes() writes C order; asarray keeps a 0-d array's shape ()
+            values = np.asarray(arrays[name], dtype="<f8")
             name_bytes = name.encode("utf-8")
             handle.write(struct.pack("<I", len(name_bytes)))
             handle.write(name_bytes)

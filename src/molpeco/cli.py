@@ -281,8 +281,11 @@ def _parse_embeddings(path, data: io.BytesIO) -> tuple[list[str], np.ndarray]:
     """Parse and check the CSV bytes ``data`` read from ``path``."""
     # a text stream, not str.splitlines: the same universal-newline
     # splitting as reading the file in text mode
-    with io.TextIOWrapper(data, encoding="utf-8") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
+    try:
+        with io.TextIOWrapper(data, encoding="utf-8") as handle:
+            lines = [line for line in handle if not line.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"'{path}' is not UTF-8 text ({exc})") from exc
     if not lines or lines[0].rstrip("\n").split(",")[0] != "id":
         raise DataError(f"'{path}' is not an embedding file")
     width = lines[0].count(",")

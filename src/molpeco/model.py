@@ -175,9 +175,7 @@ def lpe_forward(spectrum: Spectrum, model: MolPecoModel) -> Tensor:
     if not config.uses_lpe or model.lpe_w0 is None:
         raise DataError(f"variant '{config.variant}' has no positional encoder")
     h = ad.matmul(ad.constant(lpe_input(spectrum, config.p)), model.lpe_w0)
-    for block in model.lpe_blocks:
-        h = ad.transformer_block(h, block)
-    return h.sum(axis=-2)
+    return ad.transformer_encoder(h, model.lpe_blocks).sum(axis=-2)
 
 
 def gcn_forward(matrices: Sequence[np.ndarray], h0: Tensor,

@@ -307,19 +307,32 @@ class TestPrimitiveGradients:
         assert np.array_equal(table.grad.view(np.int64), expected.view(np.int64))
 
     def test_layer_norm_gradient(self):
+        # the layer norms inside the encoder op: input, gain and bias
+        # gradients of both norms of a block
         rng = np.random.default_rng(12)
-        gain = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
-        bias = Tensor(rng.normal(size=4), requires_grad=True)
-        x_values = rng.normal(size=(3, 4))
+        block = make_block_params(rng, 4)
+        for norm in ("ln1", "ln2"):
+            getattr(block, f"{norm}_gain").values = rng.uniform(0.5, 1.5, size=4)
+            getattr(block, f"{norm}_bias").values = rng.normal(size=4)
+        x_values = rng.normal(size=(2, 3, 4))
         x = Tensor(x_values, requires_grad=True)
-        weights = rng.normal(size=(3, 4))
-        loss = ad.mul(ad.layer_norm(x, gain, bias), Tensor(weights)).sum()
-        ad.backward(loss)
+        weights = rng.normal(size=(2, 3, 4))
+        ad.backward(ad.mul(ad.transformer_encoder(x, [block]), Tensor(weights)).sum())
 
-        def run(v):
-            out = ad.layer_norm(Tensor(v), Tensor(gain.values), Tensor(bias.values))
-            return float((out.values * weights).sum())
-        assert_grad_close(x.grad, finite_difference_grad(run, x_values), tol=1e-5)
+        def loss_at(values):
+            return float((ad.transformer_encoder(Tensor(values), [block]).values
+                          * weights).sum())
+        assert_grad_close(x.grad, finite_difference_grad(loss_at, x_values), tol=1e-5)
+        for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
+            param = getattr(block, name)
+            base = param.values
+
+            def loss_with(values, param=param):
+                param.values = values
+                return loss_at(x_values)
+            numeric = finite_difference_grad(loss_with, base)
+            param.values = base
+            assert_grad_close(param.grad, numeric, tol=1e-5)
 
 
 class TestNoGrad:
@@ -343,25 +356,6 @@ class TestNoGrad:
         assert np.array_equal(w.grad, np.ones((3, 2)))
 
 
-class TestSoftmaxAttention:
-    def test_single_unmasked_row_returns_v(self):
-        rng = np.random.default_rng(13)
-        q = Tensor(rng.normal(size=(1, 4)))
-        k = Tensor(rng.normal(size=(1, 4)))
-        v = Tensor(rng.normal(size=(1, 4)))
-        out = ad.softmax_attention(q, k, v)
-        np.testing.assert_allclose(out.values, v.values, rtol=0, atol=1e-15)
-
-    def test_identical_keys_average_v(self):
-        rng = np.random.default_rng(14)
-        q = Tensor(rng.normal(size=(3, 4)))
-        k = Tensor(np.tile(rng.normal(size=(1, 4)), (3, 1)))
-        v = Tensor(rng.normal(size=(3, 4)))
-        out = ad.softmax_attention(q, k, v)
-        expected = np.tile(v.values.mean(axis=0), (3, 1))
-        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
-
-
 def make_block_params(rng, d, zero_outputs=False):
     def glorot(shape):
         return Tensor(ad.glorot_uniform(rng, shape), requires_grad=True)
@@ -381,19 +375,57 @@ def make_block_params(rng, d, zero_outputs=False):
     )
 
 
+class TestSoftmaxAttention:
+    # through the encoder op: wo = I and a zero feed-forward output make a
+    # block return x + its attention output
+
+    def test_single_unmasked_row_returns_v(self):
+        # a zero ln1 gain makes every row's normalized input its bias, and
+        # wv = I makes v = bias + bv exactly; q and k are large and random
+        rng = np.random.default_rng(13)
+        block = make_block_params(rng, 4, zero_outputs=True)
+        block.wo.values = np.eye(4)
+        block.ln1_gain.values = np.zeros(4)
+        block.ln1_bias.values = rng.normal(size=4)
+        block.wv.values = np.eye(4)
+        block.bv.values = rng.normal(size=4)
+        for t in (block.wq, block.bq, block.wk, block.bk):
+            t.values = 10.0 * rng.normal(size=t.values.shape)
+        x_values = rng.normal(size=(3, 1, 4))
+        out = ad.transformer_encoder(Tensor(x_values), [block])
+        v = block.ln1_bias.values + block.bv.values
+        np.testing.assert_allclose(out.values, x_values + v, rtol=0, atol=1e-15)
+
+    def test_identical_keys_average_v(self):
+        rng = np.random.default_rng(14)
+        block = make_block_params(rng, 4, zero_outputs=True)
+        block.wo.values = np.eye(4)
+        block.wk.values = np.zeros((4, 4))
+        block.bk.values = rng.normal(size=4)
+        block.bv.values = rng.normal(size=4)
+        x_values = rng.normal(size=(2, 3, 4))
+        out = ad.transformer_encoder(Tensor(x_values), [block])
+        centered = x_values - x_values.mean(axis=-1, keepdims=True)
+        normalized = centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        v = normalized @ block.wv.values + block.bv.values
+        expected = x_values + v.mean(axis=-2, keepdims=True)
+        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
+
+
 class TestTransformerBlock:
     def test_zeroed_projections_give_identity(self):
         rng = np.random.default_rng(17)
-        params = make_block_params(rng, 4, zero_outputs=True)
-        x_values = rng.normal(size=(5, 4))
-        out = ad.transformer_block(Tensor(x_values), params)
+        blocks = [make_block_params(rng, 4, zero_outputs=True) for _ in range(2)]
+        x_values = rng.normal(size=(3, 5, 4))
+        out = ad.transformer_encoder(Tensor(x_values), blocks)
         np.testing.assert_allclose(out.values, x_values, rtol=0, atol=1e-15)
 
     def test_output_shape_preserved(self):
         rng = np.random.default_rng(18)
         params = make_block_params(rng, 8)
-        out = ad.transformer_block(Tensor(rng.normal(size=(6, 8))), params)
-        assert out.values.shape == (6, 8)
+        for shape in ((6, 8), (3, 6, 8)):
+            out = ad.transformer_encoder(Tensor(rng.normal(size=shape)), [params])
+            assert out.values.shape == shape
 
     def test_gradient_through_stacked_blocks(self):
         # end-to-end check through 4 blocks on 4 rows, d=8
@@ -404,14 +436,8 @@ class TestTransformerBlock:
         weights = rng.normal(size=(rows, d))
 
         def run(v):
-            h = Tensor(v)
-            for block in blocks:
-                h = ad.transformer_block(h, block)
-            return float((h.values * weights).sum())
+            return float((ad.transformer_encoder(Tensor(v), blocks).values * weights).sum())
 
         x = Tensor(x_values, requires_grad=True)
-        h = x
-        for block in blocks:
-            h = ad.transformer_block(h, block)
-        ad.backward(ad.mul(h, Tensor(weights)).sum())
+        ad.backward(ad.mul(ad.transformer_encoder(x, blocks), Tensor(weights)).sum())
         assert_grad_close(x.grad, finite_difference_grad(run, x_values), tol=1e-4)

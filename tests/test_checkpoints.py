@@ -113,7 +113,8 @@ def test_read_arrays_returns_writable_arrays_that_share_no_memory(tmp_path):
     # makes its own copies read-only
     rng = np.random.default_rng(4)
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=5),
-              "empty": np.zeros((0, 2)), "last": rng.normal(size=(2, 2, 2))}
+              "empty": np.zeros((0, 2)), "last": rng.normal(size=(2, 2, 2)),
+              "scalar": np.array(2.5), "transposed": rng.normal(size=(2, 3)).T}
     write_arrays(tmp_path / "a.bin", b"TEST0001", arrays, {})
     _, read = read_arrays(tmp_path / "a.bin", b"TEST0001", "test file")
     assert {name: value.tobytes() for name, value in read.items()} == \

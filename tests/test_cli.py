@@ -587,6 +587,12 @@ class TestEmbeddingCopy:
         assert self.retrieve(path, capsys) == unwritten
         assert (tmp_path / "e.csv.bin").is_file()
 
+    def test_csv_that_is_not_utf8_exits_3_without_a_copy(self, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        path.write_bytes(self.ROWS.replace("b,", "b\xe9,").encode("latin-1"))
+        assert self.retrieve(path, capsys, code=3) == ""
+        assert not (tmp_path / "e.csv.bin").exists()
+
     def test_malformed_csv_beside_a_valid_copy_exits_3(self, tmp_path, capsys):
         path = write_embeddings(tmp_path / "e.csv", self.ROWS)
         self.retrieve(path, capsys)

@@ -2,6 +2,7 @@
 the end-to-end gradient check."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from molpeco import autodiff as ad
 from molpeco.autodiff import Tensor
 from molpeco.chemio import Atom, Molecule
 from molpeco.errors import DataError
-from molpeco.features import featurize_molecule
+from molpeco.features import featurize_molecule, lpe_input
 from molpeco.model import (
     ModelConfig,
     MolPecoModel,
@@ -102,6 +103,47 @@ class TestLPEForward:
                 outs.append(lpe_forward(spec, MolPecoModel(config, seed=0)).values)
             for out in outs[1:]:
                 assert np.array_equal(out, outs[0]), n
+
+    def test_encoder_gradient_at_real_size(self):
+        # default config (p = 20, d = 32, 4 blocks) on a 40-atom molecule:
+        # for the lifted input and each of the 64 block weights, the
+        # directional derivative along a random unit direction against a
+        # central difference, at criterion 3's bound. The weights are
+        # perturbed off their initial gains of 1 and biases of 0, and the
+        # output weights are scaled to keep the loss near 1. The key bias
+        # bk has a zero gradient (softmax ignores a shift shared by all
+        # keys), so both of its sides must be zero to within rounding
+        rng = np.random.default_rng(40)
+        spec = featurize_molecule(organic_molecule(rng, "m", 40), "mol-peco-asym").spectrum
+        config = ModelConfig(variant="mol-peco-asym", o=4)
+        model = MolPecoModel(config, seed=1)
+        weights = [getattr(block, f.name) for block in model.lpe_blocks for f in fields(block)]
+        for t in weights:
+            t.values = t.values + rng.normal(scale=0.1, size=t.values.shape)
+        x = Tensor(lpe_input(spec, config.p) @ model.lpe_w0.values, requires_grad=True)
+        assert x.values.shape == (40, 20, 32)
+        out_weights = rng.normal(size=x.values.shape) / math.sqrt(x.values.size)
+        ad.backward(ad.mul(ad.transformer_encoder(x, model.lpe_blocks),
+                           Tensor(out_weights)).sum())
+        h = 1e-5
+        key_biases = {id(block.bk) for block in model.lpe_blocks}
+        for t in [x] + weights:
+            direction = rng.normal(size=t.values.shape)
+            direction /= np.linalg.norm(direction)
+            analytic = float((t.grad * direction).sum())
+            base = t.values
+            sides = []
+            for sign in (1.0, -1.0):
+                t.values = base + sign * h * direction
+                with ad.no_grad():
+                    out = ad.transformer_encoder(Tensor(x.values), model.lpe_blocks)
+                sides.append(float((out.values * out_weights).sum()))
+            t.values = base
+            numeric = (sides[0] - sides[1]) / (2 * h)
+            if id(t) in key_biases:
+                assert max(abs(numeric), abs(analytic)) <= 1e-9
+            else:
+                assert abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-6) <= 1e-4
 
 
 class TestGCNForward:
