@@ -24,6 +24,9 @@ from .checkpoints import replacing
 from .errors import ConflictError, DataError, ParseError
 
 DEFAULT_MAX_ATOMS = 80
+# bounds of the split's label-ratio repair: swaps, and candidates per swap
+REPAIR_MAX_SWAPS = 800
+REPAIR_SCAN_LIMIT = 200
 
 # Symbols for elements 1..86 (hydrogen through radon). Unknown symbols in
 # input are an error; heavier elements must be given as integers < Z_max.
@@ -328,8 +331,7 @@ def _label_pairs(label_indices: Sequence[int]) -> list[tuple[int, int]]:
     return list(itertools.combinations_with_replacement(sorted(label_indices), 2))
 
 
-def _repair_label_ratios(targets: np.ndarray, assigned: np.ndarray,
-                         max_swaps: int = 800, scan_limit: int = 200) -> None:
+def _repair_label_ratios(targets: np.ndarray, assigned: np.ndarray) -> None:
     """Deterministic local search that re-balances per-label fold ratios.
 
     Swaps pairs of samples between folds (keeping fold sizes fixed) to
@@ -356,7 +358,7 @@ def _repair_label_ratios(targets: np.ndarray, assigned: np.ndarray,
 
     current = score(fold_counts)
     stalled = 0
-    for _ in range(max_swaps):
+    for _ in range(REPAIR_MAX_SWAPS):
         err = (fold_counts - desired) / scale
         f_over, col = np.unravel_index(np.argmax(np.abs(err)), err.shape)
         over = err[f_over, col] > 0
@@ -372,7 +374,7 @@ def _repair_label_ratios(targets: np.ndarray, assigned: np.ndarray,
             rel_third = np.abs(fold_counts[third] - desired[third]) / scale[third]
             third_max = rel_third.max()
             third_ss = (rel_third ** 2).sum()
-            for a in give[:scan_limit]:
+            for a in give[:REPAIR_SCAN_LIMIT]:
                 deltas = t[take] - t[a]
                 rel_over = np.abs(fold_counts[f_over] + deltas - desired[f_over]) / scale[f_over]
                 rel_other = np.abs(fold_counts[f_other] - deltas - desired[f_other]) / scale[f_other]
@@ -487,12 +489,12 @@ def save_split(split: Split, path) -> None:
 def load_split(path, size: int) -> Split:
     """Read a split file written for a dataset of ``size`` molecules. Its
     parts must hold integers only and cover range(size) exactly once."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
     try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
         split = Split(tuple(payload["train"]), tuple(payload["val"]),
                       tuple(payload["test"]), int(payload["seed"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid split file '{path}': {exc}") from exc
     indices = [i for part in split.parts().values() for i in part]
     if not all(type(i) is int for i in indices):

@@ -16,7 +16,7 @@ import io
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +24,13 @@ import numpy as np
 from . import chemio
 from .checkpoints import (load_checkpoint, read_arrays, replacing, save_checkpoint,
                           write_arrays, write_csv)
-from .config import RunConfig, UsageError, apply_overrides, load_config
+from .config import RunConfig, UsageError, resolve_config
 from .errors import DataError, MolpecoError, NumericError
-from .features import featurize_molecule, read_feature_cache, write_feature_cache
+from .features import (NORMALIZATIONS, featurize_molecule, read_feature_cache,
+                       write_feature_cache)
 from .metrics import METRIC_NAMES
 # forward is unused here, but perfbench/layers.py traces it as cli.forward
-from .model import ModelConfig, MolPecoModel, forward
+from .model import VARIANTS, ModelConfig, MolPecoModel, forward
 from .train import evaluate, feature_list, predict, train_loop
 
 
@@ -89,18 +90,6 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _train_once(config: RunConfig, dataset, split, features, variant=None,
-                transformer_layers=None):
-    model_cfg = config.model_config(dataset.num_descriptors)
-    if variant is not None or transformer_layers is not None:
-        model_cfg = replace(model_cfg,
-                            variant=variant or model_cfg.variant,
-                            transformer_layers=transformer_layers
-                            or model_cfg.transformer_layers)
-    result = train_loop(dataset, split, model_cfg, config.train_config(), features)
-    return model_cfg, result
-
-
 def cmd_featurize(config: RunConfig) -> int:
     ds = _parse_dataset(config)
     features = [featurize_molecule(mol, config.variant, config.cm_normalization)
@@ -126,7 +115,8 @@ def cmd_split(config: RunConfig) -> int:
 def cmd_train(config: RunConfig) -> int:
     ds, features = _load_cached(config)
     split = chemio.load_split(config.split_path, len(ds))
-    model_cfg, result = _train_once(config, ds, split, features)
+    model_cfg = config.model_config(ds.num_descriptors)
+    result = train_loop(ds, split, model_cfg, config.train_config(), features)
 
     out = _out_dir(config)
     metadata = {
@@ -185,34 +175,36 @@ def cmd_eval(config: RunConfig, part: str) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig, depths, variants) -> int:
-    if not depths and not variants:
-        raise UsageError("sweep needs --depths or --variants")
-    if depths and variants:
-        raise UsageError("sweep takes either --depths or --variants, not both")
+def cmd_sweep(config: RunConfig, depths: str | None, variants: str | None) -> int:
+    """Validation metrics of one model per comma-separated transformer depth
+    or variant, each row's configuration checked before anything is read."""
+    if bool(depths) == bool(variants):
+        raise UsageError("sweep takes one of --depths and --variants")
+    if depths:
+        axis = "transformer_layers"
+        try:
+            values = [int(v) for v in depths.split(",")]
+        except ValueError:
+            raise UsageError(f"--depths must be comma-separated integers, "
+                             f"got '{depths}'") from None
+    else:
+        axis, values = "variant", variants.split(",")
+    rows = [replace(config, **{axis: value}) for value in values]
     ds = _clean(config, _parse_dataset(config))
     split = chemio.load_split(config.split_path, len(ds))
-    axis = "transformer_layers" if depths else "variant"
-    cached = _load_features(config) if depths else None
-    rows = []
-    for value in (depths or variants):
-        if depths:
-            features = cached
-            model_cfg, result = _train_once(config, ds, split, features,
-                                            transformer_layers=value)
-        else:
-            # each variant needs its own featurization
-            features = {mol.id: featurize_molecule(mol, value, config.cm_normalization)
-                        for mol in ds.molecules}
-            model_cfg, result = _train_once(config, ds, split, features, variant=value)
-        model = MolPecoModel(model_cfg, seed=config.seed)
+    # without the cache, each variant row featurizes the molecules it scores
+    features = _load_features(config) if depths else None
+    macros = []
+    for row in rows:
+        model_cfg = row.model_config(ds.num_descriptors)
+        result = train_loop(ds, split, model_cfg, row.train_config(), features)
+        model = MolPecoModel(model_cfg, seed=row.seed)
         model.load_state(result.best_state)
-        report = evaluate(model, ds, split.val, features, config.threshold)
-        rows.append((value, report.macro))
+        macros.append(evaluate(model, ds, split.val, features, row.threshold).macro)
     out = _out_dir(config)
     write_csv(out / "sweep.csv", config.config_hash(), (axis, *METRIC_NAMES),
-              ([value, *map(macro.get, METRIC_NAMES)] for value, macro in rows))
-    for value, macro in rows:
+              ([value, *map(macro.get, METRIC_NAMES)] for value, macro in zip(values, macros)))
+    for value, macro in zip(values, macros):
         print(f"{axis}={value}: auroc={macro['auroc']!r}")
     print(f"sweep -> {out / 'sweep.csv'} [config {config.config_hash()}]")
     return 0
@@ -352,11 +344,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split-file", dest="split_path", help="split JSON path")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--seed", type=int, dest="seed")
-    parser.add_argument("--variant", dest="variant",
-                        choices=["adjacency-gcn", "coulomb-gcn",
-                                 "mol-peco-sym", "mol-peco-asym"])
+    parser.add_argument("--variant", dest="variant", choices=VARIANTS)
     parser.add_argument("--normalization", dest="cm_normalization",
-                        choices=["frobenius", "minmax", "none"])
+                        choices=NORMALIZATIONS)
     parser.add_argument("--p", type=int, dest="p")
     parser.add_argument("--min-count", type=int, dest="min_label_count")
     parser.add_argument("--drop-zero-label", action="store_const", const=True,
@@ -365,15 +355,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, dest="batch_size")
     parser.add_argument("--epochs", type=int, dest="max_epochs")
     parser.add_argument("--patience", type=int, dest="patience")
-
-
-def _resolve_config(args) -> RunConfig:
-    """The configuration file (or the defaults), overridden by every parsed
-    flag whose destination names a ``RunConfig`` field."""
-    config = load_config(args.config) if args.config else RunConfig()
-    names = {f.name for f in fields(RunConfig)}
-    overrides = {name: value for name, value in vars(args).items() if name in names}
-    return apply_overrides(config, overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args) -> int:
     if args.command == "retrieve":
         return cmd_retrieve(args.embeddings, args.query, args.k)
-    config = _resolve_config(args)
+    config = resolve_config(args.config, vars(args))
     if args.command == "featurize":
         return cmd_featurize(config)
     if args.command == "split":
@@ -420,9 +401,7 @@ def run(args) -> int:
     if args.command == "eval":
         return cmd_eval(config, args.part)
     if args.command == "sweep":
-        depths = [int(v) for v in args.depths.split(",")] if args.depths else None
-        variants = args.variants.split(",") if args.variants else None
-        return cmd_sweep(config, depths, variants)
+        return cmd_sweep(config, args.depths, args.variants)
     if args.command == "embed":
         return cmd_embed(config, args.part)
     raise UsageError(f"unknown command '{args.command}'")

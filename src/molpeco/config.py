@@ -1,14 +1,17 @@
 """Run configuration: one JSON document merging data paths, cleaning rules,
 model and training hyperparameters, identified by a content hash that every
-output artifact embeds."""
+output artifact embeds. ``RunConfig`` is the one place where a run setting
+is declared, defaulted and checked."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass, fields
 
-from .errors import MolpecoError
+from .chemio import DEFAULT_MAX_ATOMS
+from .errors import DataError, MolpecoError
 from .model import ModelConfig
 from .train import TrainConfig
 
@@ -19,43 +22,52 @@ class UsageError(MolpecoError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run. Construction raises UsageError for a value of
+    another type than the declared one (a bool is not a number, an int stands
+    for a float) or out of the ranges ``ModelConfig`` and ``TrainConfig`` take."""
+
     # paths
     data_path: str = "molecules.jsonl"
     cache_path: str = "features.cache"
     split_path: str = "split.json"
     out_dir: str = "out"
     # dataset cleaning
-    max_atoms: int = 80
+    max_atoms: int = DEFAULT_MAX_ATOMS
     min_label_count: int = 30
     drop_zero_label: bool = False
     conflict_labels: tuple[str, ...] = ("odorless",)
     # model
     variant: str = "mol-peco-asym"
-    d: int = 32
-    p: int = 20
-    gcn_layers: int = 3
-    transformer_layers: int = 4
-    cm_normalization: str = "frobenius"
-    clf_layers: int = 1
-    z_max: int = 87
+    d: int = ModelConfig.d
+    p: int = ModelConfig.p
+    gcn_layers: int = ModelConfig.gcn_layers
+    transformer_layers: int = ModelConfig.transformer_layers
+    cm_normalization: str = ModelConfig.cm_normalization
+    clf_layers: int = ModelConfig.clf_layers
+    z_max: int = ModelConfig.z_max
     # splitting
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    seed: int = 0
+    seed: int = TrainConfig.seed
     # training
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 1000
-    patience: int = 100
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
     threshold: float = 0.5
 
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["conflict_labels"] = list(self.conflict_labels)
-        payload["fractions"] = list(self.fractions)
-        return payload
+    def __post_init__(self) -> None:
+        for name, hint in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not _conforms(value, hint):
+                raise UsageError(f"'{name}' must be {self.__annotations__[name]}, got {value!r}")
+        try:
+            self.model_config(1)
+            self.train_config()
+        except DataError as exc:
+            raise UsageError(str(exc)) from exc
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def featurize_signature(self) -> dict:
@@ -78,47 +90,44 @@ class RunConfig:
         return TrainConfig(**self._shared_fields(TrainConfig))
 
 
-_FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
-def _coerce(name: str, value):
-    if name == "conflict_labels":
-        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-            raise UsageError(f"'{name}' must be a list of strings")
-        return tuple(value)
-    if name == "fractions":
-        if not isinstance(value, (list, tuple)) or len(value) != 3:
-            raise UsageError(f"'{name}' must be a list of three numbers")
-        return tuple(float(v) for v in value)
-    return value
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the type ``hint``: a bool only for ``bool``,
+    an int also for ``float``, and a tuple item by item, of any length
+    for ``tuple[T, ...]``."""
+    items = typing.get_args(hint)
+    if items:
+        if not isinstance(value, tuple):
+            return False
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        return len(value) == len(items) and all(map(_conforms, value, items))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-def config_from_dict(payload: dict) -> RunConfig:
-    unknown = payload.keys() - _FIELD_TYPES.keys()
-    if unknown:
-        raise UsageError(f"unknown configuration keys: {sorted(unknown)}")
-    coerced = {name: _coerce(name, value) for name, value in payload.items()}
-    try:
-        return RunConfig(**coerced)
-    except TypeError as exc:
-        raise UsageError(f"invalid configuration: {exc}") from exc
-
-
-def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError as exc:
-        raise UsageError(f"configuration file '{path}' not found") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"configuration file '{path}' is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise UsageError("configuration file must hold a JSON object")
-    return config_from_dict(payload)
-
-
-def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
-    """Field overrides (from command-line flags) win over the file."""
-    cleaned = {name: _coerce(name, value) for name, value in overrides.items()
-               if value is not None}
-    return replace(config, **cleaned)
+def resolve_config(path, flags: dict) -> RunConfig:
+    """The configuration in the JSON object of the file at ``path`` (none when
+    ``path`` is None), lists read as tuples, overridden by each value in
+    ``flags`` that is not None and whose key names a field. Raises UsageError
+    for a file that cannot be read, is not a UTF-8 JSON object or has an
+    unknown key, and for any value RunConfig rejects."""
+    payload = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            raise UsageError(f"cannot read configuration file '{path}': {exc}") from exc
+        if not isinstance(payload, dict):
+            raise UsageError("configuration file must hold a JSON object")
+        unknown = payload.keys() - _FIELD_TYPES.keys()
+        if unknown:
+            raise UsageError(f"unknown configuration keys: {sorted(unknown)}")
+    payload.update((name, value) for name, value in flags.items()
+                   if name in _FIELD_TYPES and value is not None)
+    return RunConfig(**{name: tuple(value) if isinstance(value, list) else value
+                        for name, value in payload.items()})

@@ -313,10 +313,20 @@ def read_feature_cache(path) -> tuple[dict, dict[str, MolFeatures]]:
         if not _MOLECULE_ARRAYS <= part.keys() or extra not in (set(), _SPECTRUM_ARRAYS):
             raise DataError(f"feature cache '{path}': molecule '{mol_id}' has arrays "
                             f"{sorted(part)}; re-run featurize")
-        z, xyz, bonds = part["z"].astype(np.int64), part["xyz"], part.get("bonds")
-        if xyz.shape != (len(z), 3) or (bonds is not None and bonds.shape[1:] != (2,)):
-            raise DataError(f"feature cache '{path}': molecule '{mol_id}' has coordinates "
-                            "or bonds of the wrong shape; re-run featurize")
+        z = part["z"]
+        n = z.size
+        shapes = {"z": (n,), "xyz": (n, 3), "matrix": (n, n), "eigenvalues": (n,),
+                  "eigenvectors": (n, n)}
+        wrong = [name for name, shape in shapes.items()
+                 if name in part and part[name].shape != shape]
+        bonds = part.get("bonds")
+        if wrong or (bonds is not None and bonds.shape[1:] != (2,)):
+            raise DataError(f"feature cache '{path}': molecule '{mol_id}' has arrays "
+                            f"{wrong or ['bonds']} of the wrong shape; re-run featurize")
+        if not (np.isfinite(z).all() and np.array_equal(z, np.trunc(z))):
+            raise DataError(f"feature cache '{path}': molecule '{mol_id}' has atomic "
+                            "numbers that are not whole numbers; re-run featurize")
+        z, xyz = z.astype(np.int64), part["xyz"]
         atoms = tuple(map(Atom, z.tolist(), zip(*xyz.T.tolist())))
         if bonds is not None:
             bonds = tuple(zip(*bonds.T.astype(np.int64).tolist()))

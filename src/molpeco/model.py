@@ -24,8 +24,6 @@ from .features import NORMALIZATIONS, MolFeatures, Spectrum, lpe_input
 VARIANTS = ("adjacency-gcn", "coulomb-gcn", "mol-peco-sym", "mol-peco-asym")
 LPE_VARIANTS = ("mol-peco-sym", "mol-peco-asym")
 
-DEFAULT_Z_MAX = 87
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -39,7 +37,7 @@ class ModelConfig:
     transformer_layers: int = 4
     cm_normalization: str = "frobenius"
     clf_layers: int = 1
-    z_max: int = DEFAULT_Z_MAX
+    z_max: int = 87  # embedding rows: atomic numbers 1..86 (H..Rn)
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:

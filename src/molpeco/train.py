@@ -31,14 +31,12 @@ LOSS_EPSILON = 1e-9
 
 @dataclass
 class LossConfig:
-    """Per-descriptor weights and the epsilon guarding the log terms."""
+    """Per-descriptor loss weights."""
 
     label_weights: np.ndarray
-    epsilon: float = LOSS_EPSILON
 
     @classmethod
-    def from_dataset(cls, dataset: Dataset, train_indices: Sequence[int],
-                     epsilon: float = LOSS_EPSILON) -> "LossConfig":
+    def from_dataset(cls, dataset: Dataset, train_indices: Sequence[int]) -> "LossConfig":
         """Weights w_i = 1 - n_pos_i / n_total over the training split only,
         so no label statistics leak from validation or test."""
         rows = dataset.targets[np.asarray(train_indices, dtype=np.int64)]
@@ -46,7 +44,7 @@ class LossConfig:
         if n_total == 0:
             raise DataError("cannot derive loss weights from an empty train split")
         weights = 1.0 - rows.sum(axis=0).astype(np.float64) / n_total
-        return cls(weights, epsilon)
+        return cls(weights)
 
 
 def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
@@ -55,6 +53,8 @@ def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
     (B, o) logit matrix, with p_i = sigmoid(z_i), has the loss
 
     (1/o) * sum_i w_i * (BCE(t_i, p_i) + |log(p_i + eps) - log(t_i + eps)|)
+
+    with eps = LOSS_EPSILON guarding the log terms.
 
     BCE is evaluated as (1 - t) * z - log sigmoid(z), which stays finite
     with a bounded gradient however far the logits saturate. The targets
@@ -71,7 +71,7 @@ def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
 
     z = logits
     truth = truth.reshape(z.values.shape)
-    eps = cfg.epsilon
+    eps = LOSS_EPSILON
     bce = ad.sub(ad.mul(ad.constant(1.0 - truth), z), ad.log_sigmoid(z))
     log_target = ad.constant(np.log(truth + eps))
     p = ad.sigmoid(z)
@@ -83,13 +83,13 @@ def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
 class Adam:
     """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.tensor.values) for p in self.params]
         self.v = [np.zeros_like(p.tensor.values) for p in self.params]
@@ -109,11 +109,11 @@ class Adam:
             grad = p.tensor.grad
             if grad is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad * grad
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            p.tensor.values = p.tensor.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * grad
+            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * grad * grad
+            m_hat = self.m[i] / (1.0 - self.BETA1 ** self.t)
+            v_hat = self.v[i] / (1.0 - self.BETA2 ** self.t)
+            p.tensor.values = p.tensor.values - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,8 @@ class TrainConfig:
     stop_train_loss: Optional[float] = None  # stop once train loss dips below
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 0 \
-                or self.patience < 1:
+        if not self.learning_rate > 0 or self.batch_size < 1 or self.max_epochs < 0 \
+                or self.patience < 1 or self.seed < 0:
             raise DataError(f"invalid training configuration: {self}")
 
 

@@ -178,6 +178,36 @@ class TestFeatureCacheStructure:
         with pytest.raises(DataError, match="wrong shape; re-run featurize"):
             read_feature_cache(tmp_path / "c.bin")
 
+    @pytest.mark.parametrize("name, values", [
+        ("m/matrix", np.eye(3)),              # (n, n) expected
+        ("m/matrix", np.ones(2)),
+        ("m/z", np.array([[1.0], [1.0]])),    # (n,) expected
+        ("m/eigenvalues", np.zeros(3)),
+        ("m/eigenvalues", np.zeros((2, 2))),
+        ("m/eigenvectors", np.eye(3)),
+        ("m/eigenvectors", np.zeros((2, 1))),
+    ])
+    def test_wrong_matrix_or_spectrum_shape_rejected(self, tmp_path, name, values):
+        spectrum = {"m/eigenvalues": np.zeros(2), "m/eigenvectors": np.eye(2)}
+        arrays = {**self._one_molecule(), **spectrum, name: values}
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
+        with pytest.raises(DataError, match=f"{name[2:]}.*wrong shape; re-run featurize"):
+            read_feature_cache(tmp_path / "c.bin")
+
+    def test_spectrum_of_the_right_shape_reads(self, tmp_path):
+        spectrum = {"m/eigenvalues": np.zeros(2), "m/eigenvectors": np.eye(2)}
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, dict(self._one_molecule(), **spectrum),
+                     self.ONE)
+        _, got = read_feature_cache(tmp_path / "c.bin")
+        assert got["m"].spectrum.eigenvectors.shape == (2, 2)
+
+    @pytest.mark.parametrize("z", [[1.5, 1.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_atomic_numbers_not_whole_rejected(self, tmp_path, z):
+        arrays = dict(self._one_molecule(), **{"m/z": np.array(z)})
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
+        with pytest.raises(DataError, match="not whole numbers; re-run featurize"):
+            read_feature_cache(tmp_path / "c.bin")
+
     def test_previous_layout_asks_for_featurize(self, tmp_path):
         header = json.dumps({"count": 0}).encode("utf-8")
         path = tmp_path / "old.cache"

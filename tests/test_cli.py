@@ -349,7 +349,8 @@ class TestExitCodes:
         assert metadata["epoch"] == 1
         assert (tmp_path / "out" / "history.csv").exists()
 
-    @pytest.mark.parametrize("fault", ["negative", "out_of_range", "overlapping"])
+    @pytest.mark.parametrize("fault", ["negative", "out_of_range", "overlapping",
+                                       "truncated", "not_utf8", "seed_not_a_number"])
     def test_split_file_not_covering_dataset_is_data_error(self, workspace, fault):
         tmp_path, config_path, _ = workspace
         for command in (["featurize"], ["split"], ["train"]):
@@ -360,9 +361,17 @@ class TestExitCodes:
             parts["test"][0] -= 20  # the same molecule, counted from the end
         elif fault == "out_of_range":
             parts["test"][0] = 20
-        else:
+        elif fault == "overlapping":
             parts["test"].append(parts["train"][0])
-        split_path.write_text(json.dumps(parts), encoding="utf-8")
+        elif fault == "seed_not_a_number":
+            parts["seed"] = "x"
+        blob = json.dumps(parts).encode("utf-8")
+        if fault == "truncated":
+            blob = blob[:-10]
+        elif fault == "not_utf8":
+            blob = b"\xff" + blob
+        split_path.write_bytes(blob)
+        assert run_cli("train", "--config", config_path) == 3
         assert run_cli("eval", "--config", config_path, "--part", "test") == 3
         assert run_cli("embed", "--config", config_path, "--part", "test") == 3
 

@@ -330,11 +330,18 @@ class TestForward:
 
 class TestEndToEndGradient:
     def test_full_model_gradcheck(self):
-        # 3-atom molecule, d=8, p=4, 1 GCN layer, 1 transformer layer
+        self._gradcheck(clf_layers=1)
+
+    def test_full_model_gradcheck_through_hidden_head_layer(self):
+        self._gradcheck(clf_layers=2)
+
+    def _gradcheck(self, clf_layers):
+        # 3-atom molecule, d=8, p=4, 1 GCN layer, 1 transformer layer, and
+        # clf_layers - 1 hidden head layers
         rng = np.random.default_rng(12)
         mol = random_molecule(rng, "m", n_atoms=3)
         feats = featurize_molecule(mol, "mol-peco-sym")
-        config = small_config()
+        config = small_config(clf_layers=clf_layers)
         model = MolPecoModel(config, seed=0)
         loss_cfg = LossConfig(np.array([1.0, 0.6, 0.3]))
         target = np.array([1.0, 0.0, 1.0])
