@@ -1,6 +1,16 @@
 """Dense tensors with reverse-mode differentiation, plus the model's
 transformer encoder as one op with a hand-written backward.
 
+The ops are the ones the model and its loss run: ``gather_rows`` (atom
+embedding), ``matmul`` and ``transformer_encoder`` (the positional encoder),
+``tensor_sum`` (its pair sum and the loss mean), ``concat_rows``, ``add``,
+``block_matmul`` and ``selu`` (the graph convolutions), ``sum_rows_exact``
+(pooling), ``rowwise_matmul`` (the head), and ``sub``, ``mul``, ``log``,
+``absolute``, ``sigmoid`` and ``log_sigmoid`` (the loss). ``div`` and
+``sqrt`` have no caller yet; with ``sub`` and ``mul`` they are what an
+explicit norm of the positional encoder's output is built from, which
+fixing that output's scale (ROADMAP item 1) may need.
+
 Everything runs in double precision. Operations never mutate their inputs;
 ``backward`` accumulates gradients additively into the reachable leaves, so
 running it twice without clearing doubles every gradient.
@@ -43,51 +53,11 @@ class Tensor:
         self.grad_fn = grad_fn
         self.op = op
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
     def item(self) -> float:
         return float(self.values.reshape(-1)[0])
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def backward(self) -> None:
-        backward(self)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self.op!r})"
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+    def sum(self, axis=None) -> "Tensor":
+        return tensor_sum(self, axis=axis)
 
 
 @dataclass
@@ -96,10 +66,6 @@ class Parameter:
 
     name: str
     tensor: Tensor
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(values) -> Tensor:
@@ -170,42 +136,17 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.values / b.values, (a, b), grad_fn, "div")
 
 
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.values, (a,), lambda g: (-g,), "neg")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Supports 2D @ 2D, batched ND @ 2D (shared right
-    factor), and ND @ ND with identical batch dimensions."""
+    """Matrix product of a 2D or batched ND left factor with a 2D right
+    factor shared by every batch entry."""
     av, bv = a.values, b.values
-    if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
+    if av.ndim < 2 or bv.ndim != 2 or av.shape[-1] != bv.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    if bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]:
-        raise ShapeError(f"matmul batch dims differ: {av.shape} @ {bv.shape}")
+    k, o = bv.shape
 
     def grad_fn(g):
-        ga = g @ np.swapaxes(bv, -1, -2)
-        if bv.ndim == 2 and av.ndim > 2:
-            gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = np.swapaxes(av, -1, -2) @ g
-        return ga, gb
+        return g @ bv.T, av.reshape(-1, k).T @ g.reshape(-1, o)
     return _node(av @ bv, (a, b), grad_fn, "matmul")
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    def grad_fn(g):
-        return (np.swapaxes(g, -1, -2),)
-    return _node(np.swapaxes(a.values, -1, -2), (a,), grad_fn, "transpose")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    original = a.values.shape
-
-    def grad_fn(g):
-        return (g.reshape(original),)
-    return _node(a.values.reshape(shape), (a,), grad_fn, "reshape")
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -219,15 +160,15 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
                  grad_fn, "concat_rows")
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
+    """Sum over one axis, or over all of them when ``axis`` is None."""
     original = a.values.shape
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, original).copy(),)
-        g_expanded = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_expanded, original).copy(),)
-    return _node(a.values.sum(axis=axis, keepdims=keepdims), (a,), grad_fn, "sum")
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, original).copy(),)
+    return _node(a.values.sum(axis=axis), (a,), grad_fn, "sum")
 
 
 def _row_blocks(array: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
@@ -291,14 +232,6 @@ def log(a: Tensor) -> Tensor:
     return _node(np.log(a.values), (a,), grad_fn, "log")
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-
-    def grad_fn(g):
-        return (g * out,)
-    return _node(out, (a,), grad_fn, "exp")
-
-
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.values)
 
@@ -355,18 +288,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), grad_fn, "log_sigmoid")
 
 
-def softmax_last(a: Tensor) -> Tensor:
-    """Softmax over the last axis (max-shifted for stability)."""
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def grad_fn(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-    return _node(out, (a,), grad_fn, "softmax")
-
-
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup ``table[indices]`` of a 2-D table, with scatter-add
     backward."""
@@ -388,7 +309,7 @@ def backward(loss: Tensor) -> None:
     ``.grad`` of every reachable leaf that requires gradients.
     """
     if loss.values.size != 1:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
 
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -408,21 +329,15 @@ def backward(loss: Tensor) -> None:
 
     acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
     for node in reversed(order):
-        g = acc.pop(id(node), None)
-        if g is None:
-            continue
+        g = acc.pop(id(node))
         if node.grad_fn is None:
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node.parents, node.grad_fn(g)):
-            if not parent.requires_grad or pg is None:
-                continue
-            key = id(parent)
-            if key in acc:
-                acc[key] = acc[key] + pg
-            else:
-                acc[key] = pg
+            if parent.requires_grad:
+                key = id(parent)
+                acc[key] = acc[key] + pg if key in acc else pg
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,12 @@ def cmd_sweep(config: RunConfig, depths: str | None, variants: str | None) -> in
     else:
         axis, values = "variant", variants.split(",")
     rows = [replace(config, **{axis: value}) for value in values]
-    ds = _clean(config, _parse_dataset(config))
+    if depths:
+        ds, features = _load_cached(config)
+    else:
+        # without the cache, each variant row featurizes the molecules it scores
+        ds, features = _clean(config, _parse_dataset(config)), None
     split = chemio.load_split(config.split_path, len(ds))
-    # without the cache, each variant row featurizes the molecules it scores
-    features = _load_features(config) if depths else None
     macros = []
     for row in rows:
         model_cfg = row.model_config(ds.num_descriptors)

@@ -24,7 +24,8 @@ class UsageError(MolpecoError):
 class RunConfig:
     """Every setting of a run. Construction raises UsageError for a value of
     another type than the declared one (a bool is not a number, an int stands
-    for a float) or out of the ranges ``ModelConfig`` and ``TrainConfig`` take."""
+    for a float), for a ``threshold`` outside the open interval (0, 1), and for
+    a value out of the ranges ``ModelConfig`` and ``TrainConfig`` take."""
 
     # paths
     data_path: str = "molecules.jsonl"
@@ -60,6 +61,9 @@ class RunConfig:
             value = getattr(self, name)
             if not _conforms(value, hint):
                 raise UsageError(f"'{name}' must be {self.__annotations__[name]}, got {value!r}")
+        if not 0.0 < self.threshold < 1.0:  # also false for NaN
+            raise UsageError(f"'threshold' must lie in (0, 1), where the reported "
+                             f"scores lie, got {self.threshold!r}")
         try:
             self.model_config(1)
             self.train_config()

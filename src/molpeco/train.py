@@ -77,7 +77,7 @@ def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
     p = ad.sigmoid(z)
     reg = ad.absolute(ad.sub(ad.log(ad.add(p, ad.constant(eps))), log_target))
     weighted = ad.mul(ad.add(bce, reg), ad.constant(cfg.label_weights))
-    return weighted.sum() * (1.0 / weighted.values.size)
+    return ad.mul(weighted.sum(), ad.constant(1.0 / weighted.values.size))
 
 
 class Adam:

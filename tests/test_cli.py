@@ -148,6 +148,29 @@ class TestParseOnce:
         monkeypatch.setattr(chemio, "parse_molecules", no_parse)
         assert after_split() == parsed
 
+    def test_depth_sweep_does_not_parse_the_dataset(self, workspace, monkeypatch):
+        tmp_path, config_path, _ = workspace
+        assert run_cli("featurize", "--config", config_path) == 0
+        assert run_cli("split", "--config", config_path) == 0
+        sweep_csv = tmp_path / "out" / "sweep.csv"
+
+        def parsed_with_cached_features(config):
+            return cli._clean(config, cli._parse_dataset(config)), cli._load_features(config)
+
+        # the parsed dataset with the cache's features, as the sweep once read them
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_load_cached", parsed_with_cached_features)
+            assert run_cli("sweep", "--config", config_path, "--depths", "1") == 0
+        parsed = sweep_csv.read_bytes()
+        sweep_csv.unlink()
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the dataset file was parsed")
+
+        monkeypatch.setattr(chemio, "parse_molecules", no_parse)
+        assert run_cli("sweep", "--config", config_path, "--depths", "1") == 0
+        assert sweep_csv.read_bytes() == parsed
+
     def test_cached_dataset_equals_parsed_dataset(self, tmp_path):
         rng = np.random.default_rng(4)
         bonded = [organic_molecule(rng, f"org/{i}", int(rng.integers(10, 30)))

@@ -66,6 +66,11 @@ OUT_OF_RANGE = [
     {"patience": 0},
     {"seed": -1},
     {"learning_rate": 0},
+    {"threshold": 0.0},                   # reported scores lie in (0, 1)
+    {"threshold": 1.0},
+    {"threshold": 5.0},
+    {"threshold": -1.0},
+    {"threshold": float("nan")},
 ]
 
 
@@ -91,12 +96,10 @@ class TestRunConfig:
             resolve_config(path, {})
 
     def test_int_accepted_for_float_and_kept(self, tmp_path):
-        config = resolve_config(write_config(tmp_path, {"learning_rate": 1,
-                                                        "threshold": 0}), {})
+        config = resolve_config(write_config(tmp_path, {"learning_rate": 1}), {})
         assert type(config.learning_rate) is int and config.learning_rate == 1
-        assert config.config_hash() == RunConfig(learning_rate=1, threshold=0).config_hash()
-        assert config.config_hash() != RunConfig(learning_rate=1.0,
-                                                 threshold=0.0).config_hash()
+        assert config.config_hash() == RunConfig(learning_rate=1).config_hash()
+        assert config.config_hash() != RunConfig(learning_rate=1.0).config_hash()
 
     def test_lists_become_tuples(self, tmp_path):
         config = resolve_config(write_config(tmp_path, {"fractions": [0.6, 0.2, 0.2],
@@ -136,6 +139,7 @@ class TestCommandsRefuseBadConfig:
         ({"variant": "bogus"}, []),
         ({}, ["--epochs", "-1"]),
         ({}, ["--batch-size", "0"]),
+        ({"threshold": 5.0}, []),
     ], ids=repr)
     def test_exits_2_and_writes_nothing(self, workspace, command, fault, flags):
         tmp_path, config = workspace
