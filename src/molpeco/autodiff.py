@@ -40,18 +40,16 @@ class Tensor:
     closure mapping the output gradient onto parent gradients.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "parents", "grad_fn", "op")
+    __slots__ = ("values", "grad", "requires_grad", "parents", "grad_fn")
 
     def __init__(self, values, requires_grad: bool = False,
                  parents: tuple["Tensor", ...] = (),
-                 grad_fn: Optional[Callable[[np.ndarray], tuple]] = None,
-                 op: Optional[str] = None):
+                 grad_fn: Optional[Callable[[np.ndarray], tuple]] = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.parents = parents
         self.grad_fn = grad_fn
-        self.op = op
 
     def item(self) -> float:
         return float(self.values.reshape(-1)[0])
@@ -103,37 +101,37 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _node(values, parents: tuple[Tensor, ...], grad_fn, op: str) -> Tensor:
+def _node(values, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(values, requires_grad=requires,
                   parents=parents if requires else (),
-                  grad_fn=grad_fn if requires else None, op=op)
+                  grad_fn=grad_fn if requires else None)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
-    return _node(a.values + b.values, (a, b), grad_fn, "add")
+    return _node(a.values + b.values, (a, b), grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)
-    return _node(a.values - b.values, (a, b), grad_fn, "sub")
+    return _node(a.values - b.values, (a, b), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return (_unbroadcast(g * b.values, a.values.shape),
                 _unbroadcast(g * a.values, b.values.shape))
-    return _node(a.values * b.values, (a, b), grad_fn, "mul")
+    return _node(a.values * b.values, (a, b), grad_fn)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return (_unbroadcast(g / b.values, a.values.shape),
                 _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape))
-    return _node(a.values / b.values, (a, b), grad_fn, "div")
+    return _node(a.values / b.values, (a, b), grad_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -146,7 +144,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         return g @ bv.T, av.reshape(-1, k).T @ g.reshape(-1, o)
-    return _node(av @ bv, (a, b), grad_fn, "matmul")
+    return _node(av @ bv, (a, b), grad_fn)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -156,8 +154,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
     def grad_fn(g):
         return tuple(_row_blocks(g, sizes))
-    return _node(np.concatenate([part.values for part in parts]), tuple(parts),
-                 grad_fn, "concat_rows")
+    return _node(np.concatenate([part.values for part in parts]), tuple(parts), grad_fn)
 
 
 def tensor_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -168,7 +165,7 @@ def tensor_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
         if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, original).copy(),)
-    return _node(a.values.sum(axis=axis), (a,), grad_fn, "sum")
+    return _node(a.values.sum(axis=axis), (a,), grad_fn)
 
 
 def _row_blocks(array: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
@@ -191,7 +188,7 @@ def sum_rows_exact(a: Tensor, sizes: Sequence[int]) -> Tensor:
 
     def grad_fn(g):
         return (np.repeat(g, sizes, axis=0),)
-    return _node(out, (a,), grad_fn, "sum_rows_exact")
+    return _node(out, (a,), grad_fn)
 
 
 def block_matmul(mats: Sequence[np.ndarray], h: Tensor) -> Tensor:
@@ -207,7 +204,7 @@ def block_matmul(mats: Sequence[np.ndarray], h: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (np.concatenate([m.T @ rows for m, rows in zip(mats, _row_blocks(g, sizes))]),)
-    return _node(out, (h,), grad_fn, "block_matmul")
+    return _node(out, (h,), grad_fn)
 
 
 def rowwise_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -223,13 +220,13 @@ def rowwise_matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         return g @ bv.T, av.T @ g
-    return _node(out, (a, b), grad_fn, "rowwise_matmul")
+    return _node(out, (a, b), grad_fn)
 
 
 def log(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g / a.values,)
-    return _node(np.log(a.values), (a,), grad_fn, "log")
+    return _node(np.log(a.values), (a,), grad_fn)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -237,13 +234,13 @@ def sqrt(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (g * 0.5 / out,)
-    return _node(out, (a,), grad_fn, "sqrt")
+    return _node(out, (a,), grad_fn)
 
 
 def absolute(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * np.sign(a.values),)
-    return _node(np.abs(a.values), (a,), grad_fn, "abs")
+    return _node(np.abs(a.values), (a,), grad_fn)
 
 
 def selu(a: Tensor) -> Tensor:
@@ -260,7 +257,7 @@ def selu(a: Tensor) -> Tensor:
     def grad_fn(g):
         local = SELU_LAMBDA * np.where(av > 0.0, 1.0, SELU_ALPHA * exp_neg)
         return (g * local,)
-    return _node(out, (a,), grad_fn, "selu")
+    return _node(out, (a,), grad_fn)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -274,7 +271,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (g * out * (1.0 - out),)
-    return _node(out, (a,), grad_fn, "sigmoid")
+    return _node(out, (a,), grad_fn)
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
@@ -285,7 +282,7 @@ def log_sigmoid(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (g * np.exp(out - av),)
-    return _node(out, (a,), grad_fn, "log_sigmoid")
+    return _node(out, (a,), grad_fn)
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -299,7 +296,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
         flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
         gt = np.bincount(flat, weights=g.ravel(), minlength=rows * d)
         return (gt.reshape(rows, d),)
-    return _node(table.values[idx], (table,), grad_fn, "gather_rows")
+    return _node(table.values[idx], (table,), grad_fn)
 
 
 def backward(loss: Tensor) -> None:
@@ -472,7 +469,7 @@ def transformer_encoder(x: Tensor, blocks: Sequence[TransformerBlockParams]) -> 
             g, block_grads = _encoder_block_backward(g, block_weights, block_saved)
             grads[:0] = block_grads
         return (g.reshape(x.values.shape), *grads)
-    return _node(h.reshape(x.values.shape), (x, *tensors), grad_fn, "transformer_encoder")
+    return _node(h.reshape(x.values.shape), (x, *tensors), grad_fn)
 
 
 # ---------------------------------------------------------------------------

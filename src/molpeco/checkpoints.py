@@ -4,12 +4,13 @@
 moves it over ``path`` with ``os.replace``, so a failed or killed write
 leaves ``path`` as it was. ``write_arrays`` / ``read_arrays`` hold the one
 binary layout, used by checkpoints ("MPCK0001"), the feature cache
-("MPEC0003") and the binary copy of an embedding CSV ("MPEM0001"):
+("MPEC0004") and the binary copy of an embedding CSV ("MPEM0001"):
 magic, u32 little-endian JSON header length, canonical JSON header, u32
 array count, then per array sorted by name (so identical contents
 serialize byte-identically): u32 name length + UTF-8 name, u32 ndim, u32
-dims, float64 little-endian payload. ``write_csv`` writes every
-CSV table.
+dims, float64 little-endian payload. ``write_arrays`` also takes an array
+as ``(shape, parts)``, the parts' values in turn, and writes it part by
+part without building it. ``write_csv`` writes every CSV table.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def replacing(path, mode: str = "w"):
         raise
 
 
-def write_arrays(path, magic: bytes, arrays: dict[str, np.ndarray], metadata: dict) -> None:
+def write_arrays(path, magic: bytes, arrays: dict, metadata: dict) -> None:
     meta_bytes = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with replacing(path, "wb") as handle:
         handle.write(magic)
@@ -52,13 +53,19 @@ def write_arrays(path, magic: bytes, arrays: dict[str, np.ndarray], metadata: di
         handle.write(meta_bytes)
         handle.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):
-            # tobytes() writes C order; asarray keeps a 0-d array's shape ()
-            values = np.asarray(arrays[name], dtype="<f8")
+            value = arrays[name]
+            shape, parts = value if isinstance(value, tuple) else (np.shape(value), [value])
             name_bytes = name.encode("utf-8")
             handle.write(struct.pack("<I", len(name_bytes)))
             handle.write(name_bytes)
-            handle.write(struct.pack(f"<I{values.ndim}I", values.ndim, *values.shape))
-            handle.write(values.tobytes())
+            handle.write(struct.pack(f"<I{len(shape)}I", len(shape), *shape))
+            written = 0
+            for part in parts:
+                values = np.ascontiguousarray(part, dtype="<f8")
+                handle.write(values.data)
+                written += values.size
+            if written != math.prod(shape):
+                raise ValueError(f"array '{name}' of shape {shape} got {written} values")
 
 
 def read_arrays(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:

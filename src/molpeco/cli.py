@@ -31,7 +31,7 @@ from .features import (NORMALIZATIONS, featurize_molecule, read_feature_cache,
 from .metrics import METRIC_NAMES
 # forward is unused here, but perfbench/layers.py traces it as cli.forward
 from .model import VARIANTS, ModelConfig, MolPecoModel, forward
-from .train import evaluate, feature_list, predict, train_loop
+from .train import evaluate, predict, train_loop
 
 
 def _file_sha256(path) -> str:
@@ -55,9 +55,10 @@ def _clean(config: RunConfig, ds: chemio.Dataset) -> chemio.Dataset:
                                           config.drop_zero_label)
 
 
-def _load_features(config: RunConfig):
-    """The feature cache's id -> MolFeatures, once its header shows that it
-    was built under this configuration from the dataset file as it is."""
+def _load_cached(config: RunConfig):
+    """The cleaned dataset and its features, ``feats[i]`` belonging to
+    ``ds.molecules[i]``, from a feature cache built under this configuration
+    from the dataset file as it is, which is only hashed, not parsed."""
     header, features = read_feature_cache(config.cache_path)
     expected = config.featurize_signature()
     actual = {key: header.get(key) for key in expected}
@@ -73,15 +74,8 @@ def _load_features(config: RunConfig):
     if data_sha != _file_sha256(config.data_path):
         raise DataError("feature cache was built from a different dataset file; "
                         "re-run featurize")
-    return features
-
-
-def _load_cached(config: RunConfig):
-    """The cleaned dataset and the features, both from the feature cache:
-    the dataset file is only hashed, not parsed."""
-    features = _load_features(config)
-    merged = chemio.build_dataset([feat.molecule for feat in features.values()])
-    return _clean(config, merged), features
+    ds = _clean(config, chemio.build_dataset([feat.molecule for feat in features.values()]))
+    return ds, [features[mol.id] for mol in ds.molecules]
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -113,10 +107,10 @@ def cmd_split(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig) -> int:
-    ds, features = _load_cached(config)
+    ds, feats = _load_cached(config)
     split = chemio.load_split(config.split_path, len(ds))
     model_cfg = config.model_config(ds.num_descriptors)
-    result = train_loop(ds, split, model_cfg, config.train_config(), features)
+    result = train_loop(ds, split, model_cfg, config.train_config(), feats)
 
     out = _out_dir(config)
     metadata = {
@@ -142,10 +136,10 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _load_part(config: RunConfig, part: str):
-    """The cleaned dataset, the indices of one split part, the feature
-    cache, the output directory and the model restored from its
-    checkpoint."""
-    ds, features = _load_cached(config)
+    """The cleaned dataset, the indices of one split part, the features
+    aligned with the dataset, the output directory and the model restored
+    from its checkpoint."""
+    ds, feats = _load_cached(config)
     split = chemio.load_split(config.split_path, len(ds))
     indices = split.parts().get(part)
     if indices is None:
@@ -158,12 +152,12 @@ def _load_part(config: RunConfig, part: str):
     model = MolPecoModel(ModelConfig.from_dict(metadata["model_config"]),
                          seed=config.seed)
     model.load_state(state)
-    return ds, indices, features, out, model
+    return ds, indices, feats, out, model
 
 
 def cmd_eval(config: RunConfig, part: str) -> int:
-    ds, indices, features, out, model = _load_part(config, part)
-    report = evaluate(model, ds, indices, features, config.threshold)
+    ds, indices, feats, out, model = _load_part(config, part)
+    report = evaluate(model, ds, indices, feats, config.threshold)
     with replacing(out / f"report_{part}.json") as handle:
         handle.write(report.to_json(config.config_hash()) + "\n")
     rows = [*report.per_descriptor.items(), ("macro", report.macro)]
@@ -191,18 +185,21 @@ def cmd_sweep(config: RunConfig, depths: str | None, variants: str | None) -> in
         axis, values = "variant", variants.split(",")
     rows = [replace(config, **{axis: value}) for value in values]
     if depths:
-        ds, features = _load_cached(config)
+        ds, feats = _load_cached(config)
     else:
-        # without the cache, each variant row featurizes the molecules it scores
-        ds, features = _clean(config, _parse_dataset(config)), None
+        # the cache holds one variant's features: each row featurizes its own
+        ds = _clean(config, _parse_dataset(config))
     split = chemio.load_split(config.split_path, len(ds))
     macros = []
     for row in rows:
+        if variants:
+            feats = [featurize_molecule(mol, row.variant, row.cm_normalization)
+                     for mol in ds.molecules]
         model_cfg = row.model_config(ds.num_descriptors)
-        result = train_loop(ds, split, model_cfg, row.train_config(), features)
+        result = train_loop(ds, split, model_cfg, row.train_config(), feats)
         model = MolPecoModel(model_cfg, seed=row.seed)
         model.load_state(result.best_state)
-        macros.append(evaluate(model, ds, split.val, features, row.threshold).macro)
+        macros.append(evaluate(model, ds, split.val, feats, row.threshold).macro)
     out = _out_dir(config)
     write_csv(out / "sweep.csv", config.config_hash(), (axis, *METRIC_NAMES),
               ([value, *map(macro.get, METRIC_NAMES)] for value, macro in zip(values, macros)))
@@ -213,8 +210,8 @@ def cmd_sweep(config: RunConfig, depths: str | None, variants: str | None) -> in
 
 
 def cmd_embed(config: RunConfig, part: str) -> int:
-    ds, indices, features, out, model = _load_part(config, part)
-    _, embeddings = predict(model, feature_list(ds, model.config, features, indices))
+    ds, indices, feats, out, model = _load_part(config, part)
+    _, embeddings = predict(model, [feats[i] for i in indices])
     path = out / f"embeddings_{part}.csv"
     header = ["id", *(f"e{i}" for i in range(model.config.d))]
     write_csv(path, config.config_hash(), header,

@@ -4,10 +4,12 @@ Covers the adjacency matrix, the Coulomb matrix with Frobenius / minmax
 normalization, weighted graph Laplacians, a LAPACK symmetric eigensolver
 with deterministic sign conventions, and the positional-encoding input
 built from the lowest spectral pairs. Also maps the featurization cache
-the CLI writes onto the array layout of ``checkpoints`` (magic
-"MPEC0003"). The cache also holds each molecule's coordinates, bonds and
-labels, so the commands after ``featurize`` rebuild the dataset from it;
-a cache from before that ("MPEC0001", "MPEC0002") is rejected.
+the CLI writes onto the array layout of ``checkpoints``: magic
+"MPEC0004", each field of all molecules packed into one array, and each
+molecule's atom and bond counts in the header (``write_feature_cache``).
+The cache also holds each molecule's coordinates, bonds and labels, so
+the commands after ``featurize`` rebuild the dataset from it; a cache in
+an older layout ("MPEC0001" to "MPEC0003") is rejected.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ BOHR_PER_ANGSTROM = 1.8897259886
 NORM_EPSILON = 1e-9
 MIN_ATOM_DISTANCE = 1e-6  # Angstrom; closer pairs are degenerate geometry
 
-CACHE_MAGIC = b"MPEC0003"
-_MOLECULE_ARRAYS = {"matrix", "z", "xyz"}
-_SPECTRUM_ARRAYS = {"eigenvalues", "eigenvectors"}
+CACHE_MAGIC = b"MPEC0004"
 
 NORMALIZATIONS = ("frobenius", "minmax", "none")
 
@@ -261,80 +261,97 @@ def featurize_molecule(mol: Molecule, variant: str,
     return MolFeatures(mol.id, variant, z, matrix, mol, spectrum)
 
 
+def _field_shapes(entries: list, spectral: bool) -> dict[str, tuple[int, ...]]:
+    """The packed fields' shapes for ``entries``, ``[id, labels, n, b or
+    None]`` each: per molecule, n x n values of ``matrix`` and
+    ``eigenvectors``, n rows of ``z``, ``xyz`` and ``eigenvalues``, b of ``bonds``."""
+    atoms = sum(entry[2] for entry in entries)
+    squares = sum(entry[2] ** 2 for entry in entries)
+    shapes = {"matrix": (squares,), "z": (atoms,), "xyz": (atoms, 3),
+              "bonds": (sum(entry[3] or 0 for entry in entries), 2)}
+    if spectral:
+        shapes.update(eigenvalues=(atoms,), eigenvectors=(squares,))
+    return shapes
+
+
 def write_feature_cache(path, features: list[MolFeatures], header: dict) -> None:
-    """Write the feature cache: the header plus ``molecules``, the
-    ``[id, sorted labels]`` of every molecule in the order given, and per
-    molecule the arrays ``<id>/matrix``, ``<id>/z`` (atomic numbers),
-    ``<id>/xyz`` (coordinates), ``<id>/bonds`` when the molecule has a bond
-    list and, for spectral variants, ``<id>/eigenvalues`` and
-    ``<id>/eigenvectors``."""
-    arrays = {}
-    for feat in features:
-        mol = feat.molecule
-        arrays[f"{feat.mol_id}/matrix"] = feat.matrix
-        arrays[f"{feat.mol_id}/z"] = feat.atomic_numbers
-        arrays[f"{feat.mol_id}/xyz"] = mol.coordinates()
-        if mol.bonds is not None:
-            flat = itertools.chain.from_iterable(mol.bonds)
-            arrays[f"{feat.mol_id}/bonds"] = np.fromiter(flat, np.float64).reshape(-1, 2)
-        if feat.spectrum is not None:
-            arrays[f"{feat.mol_id}/eigenvalues"] = feat.spectrum.eigenvalues
-            arrays[f"{feat.mol_id}/eigenvectors"] = feat.spectrum.eigenvectors
-    listed = [[feat.mol_id, sorted(feat.molecule.labels)] for feat in features]
-    write_arrays(path, CACHE_MAGIC, arrays, dict(header, molecules=listed))
+    """Write the feature cache: the header plus ``molecules``, the ``[id,
+    sorted labels, atom count, bond count or null]`` of every molecule in
+    the order given, and each field of all molecules packed in that order
+    into one array of the shape ``_field_shapes`` gives."""
+    mols = [feat.molecule for feat in features]
+    listed = [[mol.id, sorted(mol.labels), mol.num_atoms,
+               None if mol.bonds is None else len(mol.bonds)] for mol in mols]
+    shapes = _field_shapes(listed, any(feat.spectrum is not None for feat in features))
+    pairs = itertools.chain.from_iterable(mol.bonds for mol in mols if mol.bonds is not None)
+    # written molecule by molecule: the packed arrays are never built in memory
+    parts = {"matrix": (feat.matrix for feat in features),
+             "z": (feat.atomic_numbers for feat in features),
+             "xyz": (mol.coordinates() for mol in mols),
+             "bonds": [np.fromiter(itertools.chain.from_iterable(pairs), np.float64)],
+             "eigenvalues": (feat.spectrum.eigenvalues for feat in features),
+             "eigenvectors": (feat.spectrum.eigenvectors for feat in features)}
+    write_arrays(path, CACHE_MAGIC, {name: (shape, parts[name]) for name, shape in shapes.items()},
+                 dict(header, molecules=listed))
+
+
+def _is_entry(entry) -> bool:
+    """Whether ``entry`` is ``[id, labels, atom count >= 1, bond count >= 0 or null]``."""
+    return (isinstance(entry, list) and len(entry) == 4 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(isinstance(x, str) for x in entry[1])
+            and type(entry[2]) is int and entry[2] >= 1
+            and (entry[3] is None or type(entry[3]) is int and entry[3] >= 0))
 
 
 def read_feature_cache(path) -> tuple[dict, dict[str, MolFeatures]]:
     """(header, id -> MolFeatures) of a feature cache, in the order of the
     header's ``molecules``, each with its molecule rebuilt from the cached
-    atomic numbers, coordinates, bonds and labels. Any fault in the file,
-    or a cache in an older layout, raises DataError."""
+    atomic numbers, coordinates, bonds and labels, and its matrix and
+    spectrum read-only views into the packed arrays. Any fault in the
+    file, or a cache in an older layout, raises DataError."""
     try:
         header, arrays = read_arrays(path, CACHE_MAGIC, "feature cache")
     except DataError as exc:
         raise DataError(f"{exc}; re-run featurize") from exc
-    parts: dict[str, dict[str, np.ndarray]] = {}
-    for name, values in arrays.items():
-        mol_id, _, field = name.rpartition("/")  # ids may contain "/"
-        parts.setdefault(mol_id, {})[field] = values
-    try:
-        labels = {mol_id: frozenset(names) for mol_id, names in header["molecules"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"feature cache '{path}' has no valid molecule list ({exc!r}); "
-                        "re-run featurize") from exc
-    if labels.keys() != parts.keys():
-        raise DataError(f"feature cache '{path}' holds {len(parts)} molecules, its "
-                        f"header lists {len(labels)}; re-run featurize")
+
+    def fault(what: str) -> DataError:
+        return DataError(f"feature cache '{path}' {what}; re-run featurize")
+
+    entries = header.get("molecules") if isinstance(header, dict) else None
+    if not (isinstance(entries, list) and all(map(_is_entry, entries))):
+        raise fault("has no valid molecule list")
+    if len({entry[0] for entry in entries}) != len(entries):
+        raise fault("lists a molecule id more than once")
+    shapes = _field_shapes(entries, "eigenvalues" in arrays or "eigenvectors" in arrays)
+    if arrays.keys() != shapes.keys():
+        raise fault(f"has arrays {sorted(arrays)}, not {sorted(shapes)}")
+    wrong = [name for name, shape in shapes.items() if arrays[name].shape != shape]
+    if wrong:
+        raise fault(f"has arrays {wrong} of the wrong shape, not {[shapes[n] for n in wrong]}")
+    for name, what in (("z", "atomic numbers"), ("bonds", "bond indices")):
+        if not (np.isfinite(arrays[name]).all()
+                and np.array_equal(arrays[name], np.trunc(arrays[name]))):
+            raise fault(f"has {what} that are not whole numbers")
+
+    for values in arrays.values():
+        values.flags.writeable = False
     kind = header.get("variant", "")
+    z_all, bonds_all = arrays["z"].astype(np.int64), arrays["bonds"].astype(np.int64)
     features: dict[str, MolFeatures] = {}
-    for mol_id, names in labels.items():
-        part = parts[mol_id]
-        extra = part.keys() - _MOLECULE_ARRAYS - {"bonds"}
-        if not _MOLECULE_ARRAYS <= part.keys() or extra not in (set(), _SPECTRUM_ARRAYS):
-            raise DataError(f"feature cache '{path}': molecule '{mol_id}' has arrays "
-                            f"{sorted(part)}; re-run featurize")
-        z = part["z"]
-        n = z.size
-        shapes = {"z": (n,), "xyz": (n, 3), "matrix": (n, n), "eigenvalues": (n,),
-                  "eigenvectors": (n, n)}
-        wrong = [name for name, shape in shapes.items()
-                 if name in part and part[name].shape != shape]
-        bonds = part.get("bonds")
-        if wrong or (bonds is not None and bonds.shape[1:] != (2,)):
-            raise DataError(f"feature cache '{path}': molecule '{mol_id}' has arrays "
-                            f"{wrong or ['bonds']} of the wrong shape; re-run featurize")
-        if not (np.isfinite(z).all() and np.array_equal(z, np.trunc(z))):
-            raise DataError(f"feature cache '{path}': molecule '{mol_id}' has atomic "
-                            "numbers that are not whole numbers; re-run featurize")
-        z, xyz = z.astype(np.int64), part["xyz"]
-        atoms = tuple(map(Atom, z.tolist(), zip(*xyz.T.tolist())))
-        if bonds is not None:
-            bonds = tuple(zip(*bonds.T.astype(np.int64).tolist()))
+    atom = square = bond = 0
+    for mol_id, names, n, bond_count in entries:
+        rows, flat = slice(atom, atom + n), slice(square, square + n * n)
+        z = z_all[rows]
+        atoms = tuple(map(Atom, z.tolist(), zip(*arrays["xyz"][rows].T.tolist())))
+        bonds = None
+        if bond_count is not None:
+            bonds = tuple(zip(*bonds_all[bond:bond + bond_count].T.tolist()))
+            bond += bond_count
         spectrum = None
-        if "eigenvalues" in part:
-            part["eigenvalues"].flags.writeable = False
-            part["eigenvectors"].flags.writeable = False
-            spectrum = Spectrum(part["eigenvalues"], part["eigenvectors"])
-        features[mol_id] = MolFeatures(mol_id, kind, z, part["matrix"],
-                                       Molecule(mol_id, atoms, bonds, names), spectrum)
+        if "eigenvalues" in arrays:
+            spectrum = Spectrum(arrays["eigenvalues"][rows],
+                                arrays["eigenvectors"][flat].reshape(n, n))
+        features[mol_id] = MolFeatures(mol_id, kind, z, arrays["matrix"][flat].reshape(n, n),
+                                       Molecule(mol_id, atoms, bonds, frozenset(names)), spectrum)
+        atom, square = rows.stop, flat.stop
     return header, features

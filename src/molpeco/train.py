@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .chemio import Dataset, Split
 from .errors import DataError, NumericError
-from .features import MolFeatures, featurize_molecule
+from .features import MolFeatures
 from .metrics import EvalReport, eval_report, macro_auroc
 from .model import ModelConfig, MolPecoModel, forward, probabilities
 
@@ -142,24 +142,6 @@ class TrainResult:
     diverged: bool = False
 
 
-def feature_list(dataset: Dataset, model_cfg: ModelConfig,
-                 features: Optional[dict[str, MolFeatures]],
-                 indices: Sequence[int]) -> list[MolFeatures]:
-    """Features of the molecules at ``indices``, in that order: looked up
-    by id in ``features`` when it is given, computed otherwise."""
-    out = []
-    for idx in indices:
-        mol = dataset.molecules[idx]
-        if features is not None:
-            feat = features.get(mol.id)
-            if feat is None:
-                raise DataError(f"no cached features for molecule '{mol.id}'")
-        else:
-            feat = featurize_molecule(mol, model_cfg.variant, model_cfg.cm_normalization)
-        out.append(feat)
-    return out
-
-
 def predict(model: MolPecoModel,
             feats: Sequence[MolFeatures]) -> tuple[np.ndarray, np.ndarray]:
     """Logits (B x o) and molecule embeddings (B x d) of B molecules.
@@ -176,10 +158,9 @@ def predict(model: MolPecoModel,
 
 
 def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
-               train_cfg: TrainConfig,
-               features: Optional[dict[str, MolFeatures]] = None) -> TrainResult:
+               train_cfg: TrainConfig, feats: Sequence[MolFeatures]) -> TrainResult:
     """Train one model, tracking the checkpoint with minimal validation
-    loss.
+    loss. ``feats[i]`` holds the features of ``dataset.molecules[i]``.
 
     Each epoch shuffles the training split with a seeded generator, then
     logs train loss, validation loss, and unweighted validation macro
@@ -189,9 +170,9 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
     """
     if not split.train or not split.val:
         raise DataError("train and validation splits must be non-empty")
-    train_feats = feature_list(dataset, model_cfg, features, split.train)
+    train_feats = [feats[i] for i in split.train]
     train_targets = dataset.targets[np.asarray(split.train, dtype=np.int64)]
-    val_feats = feature_list(dataset, model_cfg, features, split.val)
+    val_feats = [feats[i] for i in split.val]
     val_targets = dataset.targets[np.asarray(split.val, dtype=np.int64)]
     loss_cfg = LossConfig.from_dataset(dataset, split.train)
     model = MolPecoModel(model_cfg, seed=train_cfg.seed)
@@ -251,13 +232,12 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
 
 
 def evaluate(model: MolPecoModel, dataset: Dataset, indices: Sequence[int],
-             features: Optional[dict[str, MolFeatures]] = None,
-             threshold: float = 0.5) -> EvalReport:
+             feats: Sequence[MolFeatures], threshold: float = 0.5) -> EvalReport:
     """Per-descriptor and macro metrics of a trained model on one split
-    part."""
+    part; ``feats[i]`` holds the features of ``dataset.molecules[i]``."""
     if not indices:
         raise DataError("cannot evaluate an empty split")
-    logits, _ = predict(model, feature_list(dataset, model.config, features, indices))
+    logits, _ = predict(model, [feats[i] for i in indices])
     targets = dataset.targets[np.asarray(indices, dtype=np.int64)]
     return eval_report(probabilities(logits), targets, dataset.vocabulary.descriptors,
                        threshold)

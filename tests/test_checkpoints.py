@@ -126,92 +126,140 @@ def test_read_arrays_returns_writable_arrays_that_share_no_memory(tmp_path):
             assert other is value or not np.shares_memory(value, other)
 
 
-class TestFeatureCacheStructure:
-    ONE = {"molecules": [["m", ["x"]]]}
+def test_array_written_in_parts_reads_as_one(tmp_path):
+    # (shape, parts) writes the parts' values in turn, never concatenated
+    rng = np.random.default_rng(5)
+    whole = rng.normal(size=(5, 3))
+    parts = [whole[:2], whole[2:2], whole[2:].T.copy().T]  # the last one not C-ordered
+    write_arrays(tmp_path / "p.bin", b"TEST0001", {"a": ((5, 3), parts)}, {})
+    write_arrays(tmp_path / "w.bin", b"TEST0001", {"a": whole}, {})
+    assert (tmp_path / "p.bin").read_bytes() == (tmp_path / "w.bin").read_bytes()
 
-    def _one_molecule(self):
-        return {"m/matrix": np.eye(2), "m/z": np.array([1.0, 1.0]),
-                "m/xyz": np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.74]])}
+
+@pytest.mark.parametrize("parts", [[np.ones(2)], [np.ones(2), np.ones(2)]])
+def test_parts_that_miss_their_shape_are_not_written(tmp_path, parts):
+    with pytest.raises(ValueError, match="of shape \\(3,\\) got"):
+        write_arrays(tmp_path / "p.bin", b"TEST0001", {"a": ((3,), parts)}, {})
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestFeatureCacheStructure:
+    # molecule "m": 2 atoms and 1 bond; molecule "n": 1 atom and no bond list
+    ENTRIES = [["m", ["x"], 2, 1], ["n", [], 1, None]]
+
+    def _arrays(self, spectrum=False):
+        arrays = {"matrix": np.array([1.0, 0.0, 0.0, 1.0, 5.0]),  # 2 x 2, then 1 x 1
+                  "z": np.array([1.0, 1.0, 8.0]),
+                  "xyz": np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.74], [1.0, 2.0, 3.0]]),
+                  "bonds": np.array([[0.0, 1.0]])}
+        if spectrum:
+            arrays.update(eigenvalues=np.array([0.0, 2.0, 0.0]),
+                          eigenvectors=np.array([1.0, 2.0, 3.0, 4.0, 1.0]))
+        return arrays
+
+    def _read(self, tmp_path, arrays, header=None):
+        header = {"molecules": self.ENTRIES} if header is None else header
+        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, header)
+        return read_feature_cache(tmp_path / "c.bin")[1]
 
     def test_minimal_cache_reads(self, tmp_path):
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, self._one_molecule(), self.ONE)
-        _, got = read_feature_cache(tmp_path / "c.bin")
-        mol = got["m"].molecule
-        assert mol.atomic_numbers().tolist() == [1, 1]
-        assert mol.bonds is None and mol.labels == {"x"}
+        got = self._read(tmp_path, self._arrays())
+        assert list(got) == ["m", "n"]
+        m, n = got["m"].molecule, got["n"].molecule
+        assert m.atomic_numbers().tolist() == [1, 1] and n.atomic_numbers().tolist() == [8]
+        assert m.bonds == ((0, 1),) and n.bonds is None
+        assert m.labels == {"x"} and n.labels == frozenset()
+        assert n.atoms[0].position == (1.0, 2.0, 3.0)
+        assert got["m"].matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert got["n"].matrix.tolist() == [[5.0]]
+        assert got["m"].spectrum is None and got["n"].spectrum is None
 
-    @pytest.mark.parametrize("drop", ["m/matrix", "m/z", "m/xyz"])
-    def test_missing_matrix_or_z_rejected(self, tmp_path, drop):
-        arrays = self._one_molecule()
+    @pytest.mark.parametrize("drop", ["matrix", "z", "xyz", "bonds"])
+    def test_missing_field_rejected(self, tmp_path, drop):
+        arrays = self._arrays()
         del arrays[drop]
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
-        with pytest.raises(DataError, match="molecule 'm' has arrays"):
-            read_feature_cache(tmp_path / "c.bin")
+        with pytest.raises(DataError, match="has arrays .*, not .*; re-run featurize"):
+            self._read(tmp_path, arrays)
+
+    def test_unknown_field_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="has arrays .*, not .*; re-run featurize"):
+            self._read(tmp_path, dict(self._arrays(), extra=np.zeros(3)))
 
     @pytest.mark.parametrize("half", ["eigenvalues", "eigenvectors"])
     def test_half_a_spectrum_rejected(self, tmp_path, half):
-        arrays = dict(self._one_molecule(), **{f"m/{half}": np.eye(2)})
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
-        with pytest.raises(DataError, match="re-run featurize"):
-            read_feature_cache(tmp_path / "c.bin")
+        arrays = dict(self._arrays(), **{half: self._arrays(spectrum=True)[half]})
+        with pytest.raises(DataError, match="has arrays .*, not .*; re-run featurize"):
+            self._read(tmp_path, arrays)
 
-    def test_count_mismatch_rejected(self, tmp_path):
-        header = {"molecules": [["m", []], ["n", []]]}
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, self._one_molecule(), header)
-        with pytest.raises(DataError, match="holds 1 molecules, its header lists 2"):
-            read_feature_cache(tmp_path / "c.bin")
+    @pytest.mark.parametrize("entries, wrong", [
+        ([*ENTRIES, ["o", [], 1, None]], "matrix', 'z', 'xyz"),  # one molecule more
+        (ENTRIES[:1], "matrix', 'z', 'xyz"),                      # one molecule less
+        ([["m", ["x"], 2, 2], ENTRIES[1]], "bonds"),              # bond count off
+        ([["m", ["x"], 2, None], ENTRIES[1]], "bonds"),           # bonds not listed
+        ([["m", ["x"], 2, 1], ["n", [], 2, None]], "matrix', 'z', 'xyz"),
+    ])
+    def test_count_mismatch_rejected(self, tmp_path, entries, wrong):
+        with pytest.raises(DataError, match=f"\\['{wrong}'\\] of the wrong shape"):
+            self._read(tmp_path, self._arrays(), {"molecules": entries})
 
-    @pytest.mark.parametrize("header", [{}, {"molecules": 3}, {"molecules": [["m"]]}])
+    @pytest.mark.parametrize("header", [
+        {}, {"molecules": 3}, {"molecules": [["m"]]}, {"molecules": [["m", ["x"], 2]]},
+        {"molecules": [["m", "x", 2, 1]]}, {"molecules": [[7, ["x"], 2, 1]]},
+        {"molecules": [["m", [7], 2, 1]]}, {"molecules": [["m", ["x"], 0, 1]]},
+        {"molecules": [["m", ["x"], 2.0, 1]]}, {"molecules": [["m", ["x"], True, 1]]},
+        {"molecules": [["m", ["x"], 2, -1]]}, {"molecules": [["m", ["x"], 2, 1.0]]},
+        ["molecules"],
+    ], ids=repr)
     def test_missing_or_malformed_molecule_list_rejected(self, tmp_path, header):
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, self._one_molecule(), header)
         with pytest.raises(DataError, match="no valid molecule list.*re-run featurize"):
-            read_feature_cache(tmp_path / "c.bin")
+            self._read(tmp_path, self._arrays(), header)
+
+    def test_repeated_id_rejected(self, tmp_path):
+        entries = [["m", ["x"], 2, 1], ["m", [], 1, None]]
+        with pytest.raises(DataError, match="lists a molecule id more than once"):
+            self._read(tmp_path, self._arrays(), {"molecules": entries})
 
     @pytest.mark.parametrize("name, values", [
-        ("m/xyz", np.zeros((3, 3))),          # one row per atom expected
-        ("m/xyz", np.zeros((2, 2))),
-        ("m/bonds", np.array([[0.0, 1.0, 1.0]])),
+        ("xyz", np.zeros((4, 3))),            # one row per atom expected
+        ("xyz", np.zeros((3, 2))),
+        ("xyz", np.zeros(9)),
+        ("bonds", np.array([[0.0, 1.0, 1.0]])),
+        ("bonds", np.array([0.0, 1.0])),
+        ("matrix", np.ones(4)),               # sum of n^2 = 5 expected
+        ("matrix", np.ones((5, 1))),
+        ("z", np.array([[1.0], [1.0], [8.0]])),
+        ("eigenvalues", np.zeros(5)),         # sum of n = 3 expected
+        ("eigenvalues", np.zeros((3, 1))),
+        ("eigenvectors", np.zeros(3)),        # sum of n^2 = 5 expected
+        ("eigenvectors", np.zeros((5, 1))),
     ])
-    def test_wrong_coordinate_or_bond_shape_rejected(self, tmp_path, name, values):
-        arrays = dict(self._one_molecule(), **{name: values})
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
-        with pytest.raises(DataError, match="wrong shape; re-run featurize"):
-            read_feature_cache(tmp_path / "c.bin")
-
-    @pytest.mark.parametrize("name, values", [
-        ("m/matrix", np.eye(3)),              # (n, n) expected
-        ("m/matrix", np.ones(2)),
-        ("m/z", np.array([[1.0], [1.0]])),    # (n,) expected
-        ("m/eigenvalues", np.zeros(3)),
-        ("m/eigenvalues", np.zeros((2, 2))),
-        ("m/eigenvectors", np.eye(3)),
-        ("m/eigenvectors", np.zeros((2, 1))),
-    ])
-    def test_wrong_matrix_or_spectrum_shape_rejected(self, tmp_path, name, values):
-        spectrum = {"m/eigenvalues": np.zeros(2), "m/eigenvectors": np.eye(2)}
-        arrays = {**self._one_molecule(), **spectrum, name: values}
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
-        with pytest.raises(DataError, match=f"{name[2:]}.*wrong shape; re-run featurize"):
-            read_feature_cache(tmp_path / "c.bin")
+    def test_wrong_shape_rejected(self, tmp_path, name, values):
+        arrays = dict(self._arrays(spectrum=True), **{name: values})
+        with pytest.raises(DataError, match=f"\\['{name}'\\] of the wrong shape.*re-run"):
+            self._read(tmp_path, arrays)
 
     def test_spectrum_of_the_right_shape_reads(self, tmp_path):
-        spectrum = {"m/eigenvalues": np.zeros(2), "m/eigenvectors": np.eye(2)}
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, dict(self._one_molecule(), **spectrum),
-                     self.ONE)
-        _, got = read_feature_cache(tmp_path / "c.bin")
-        assert got["m"].spectrum.eigenvectors.shape == (2, 2)
+        got = self._read(tmp_path, self._arrays(spectrum=True))
+        assert got["m"].spectrum.eigenvalues.tolist() == [0.0, 2.0]
+        assert got["m"].spectrum.eigenvectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert got["n"].spectrum.eigenvectors.tolist() == [[1.0]]
+        assert not got["m"].spectrum.eigenvectors.flags.writeable
 
-    @pytest.mark.parametrize("z", [[1.5, 1.0], [np.nan, 1.0], [np.inf, 1.0]])
+    @pytest.mark.parametrize("z", [[1.5, 1.0, 8.0], [1.0, 1.0, np.nan], [np.inf, 1.0, 8.0]])
     def test_atomic_numbers_not_whole_rejected(self, tmp_path, z):
-        arrays = dict(self._one_molecule(), **{"m/z": np.array(z)})
-        write_arrays(tmp_path / "c.bin", CACHE_MAGIC, arrays, self.ONE)
-        with pytest.raises(DataError, match="not whole numbers; re-run featurize"):
-            read_feature_cache(tmp_path / "c.bin")
+        with pytest.raises(DataError, match="atomic numbers that are not whole numbers; re-run"):
+            self._read(tmp_path, dict(self._arrays(), z=np.array(z)))
 
-    def test_previous_layout_asks_for_featurize(self, tmp_path):
+    @pytest.mark.parametrize("bond", [[0.0, 1.5], [np.nan, 1.0], [0.0, np.inf]])
+    def test_bond_indices_not_whole_rejected(self, tmp_path, bond):
+        with pytest.raises(DataError, match="bond indices that are not whole numbers; re-run"):
+            self._read(tmp_path, dict(self._arrays(), bonds=np.array([bond])))
+
+    @pytest.mark.parametrize("magic", [b"MPEC0002", b"MPEC0003"])
+    def test_previous_layout_asks_for_featurize(self, tmp_path, magic):
         header = json.dumps({"count": 0}).encode("utf-8")
         path = tmp_path / "old.cache"
-        path.write_bytes(b"MPEC0002" + struct.pack("<I", len(header)) + header)
+        path.write_bytes(magic + struct.pack("<I", len(header)) + header)
         with pytest.raises(DataError, match=r"bad magic.*re-run featurize"):
             read_feature_cache(path)
 

@@ -155,7 +155,9 @@ class TestParseOnce:
         sweep_csv = tmp_path / "out" / "sweep.csv"
 
         def parsed_with_cached_features(config):
-            return cli._clean(config, cli._parse_dataset(config)), cli._load_features(config)
+            _, features = cli.read_feature_cache(config.cache_path)
+            ds = cli._clean(config, cli._parse_dataset(config))
+            return ds, [features[mol.id] for mol in ds.molecules]
 
         # the parsed dataset with the cache's features, as the sweep once read them
         with monkeypatch.context() as patch:
@@ -197,10 +199,12 @@ class TestParseOnce:
                            variant="coulomb-gcn", min_label_count=2)
         assert cli.cmd_featurize(config) == 0
 
-        cached, features = cli._load_cached(config)
+        cached, feats = cli._load_cached(config)
         parsed = cli._clean(config, cli._parse_dataset(config))
+        _, features = cli.read_feature_cache(config.cache_path)
         assert list(features) == list(dict.fromkeys(r["id"] for r in records))
         assert [m.id for m in cached.molecules] == [m.id for m in parsed.molecules]
+        assert [feat.mol_id for feat in feats] == [m.id for m in parsed.molecules]
         by_id = {m.id: m for m in parsed.molecules}
         assert len(by_id) == len(records) - 2 and records[1]["id"] not in by_id
         assert by_id["single"].bonds == ()
@@ -261,12 +265,13 @@ class TestExitCodes:
         assert run_cli("featurize", "--data", data,
                        "--cache", tmp_path / "c.bin") == 3
 
-    def test_cache_in_previous_layout_is_data_error(self, workspace, capsys):
+    @pytest.mark.parametrize("magic", [b"MPEC0002", b"MPEC0003"])
+    def test_cache_in_previous_layout_is_data_error(self, workspace, capsys, magic):
         tmp_path, config_path, _ = workspace
         assert run_cli("featurize", "--config", config_path) == 0
         assert run_cli("split", "--config", config_path) == 0
         cache = tmp_path / "features.cache"
-        cache.write_bytes(b"MPEC0002" + cache.read_bytes()[8:])
+        cache.write_bytes(magic + cache.read_bytes()[8:])
         capsys.readouterr()
         assert run_cli("train", "--config", config_path) == 3
         assert "re-run featurize" in capsys.readouterr().err
@@ -310,6 +315,31 @@ class TestExitCodes:
         for command in (["train"], ["eval", "--part", "val"], ["embed", "--part", "val"]):
             assert run_cli(*command, "--config", config_path) == 3
             assert "does not record which dataset file" in capsys.readouterr().err
+
+    def test_cached_bond_index_not_whole_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "molecules.jsonl"
+        data.write_text(json.dumps({"id": "h2", "atoms": [["H", 0, 0, 0], ["H", 0, 0, 0.74]],
+                                    "bonds": [[0, 1]], "labels": ["x"]}) + "\n",
+                        encoding="utf-8")
+        cache = tmp_path / "features.cache"
+        assert run_cli("featurize", "--data", data, "--cache", cache) == 0
+        header, arrays = read_arrays(cache, CACHE_MAGIC, "feature cache")
+        assert arrays["bonds"].tolist() == [[0.0, 1.0]]
+        write_arrays(cache, CACHE_MAGIC, dict(arrays, bonds=np.array([[0.0, 1.5]])), header)
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--cache", cache,
+                       "--split-file", tmp_path / "split.json") == 3
+        assert "bond indices that are not whole numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["coulomb-gcn", "mol-peco-asym"])
+    def test_empty_dataset_featurizes_to_an_empty_cache(self, tmp_path, variant):
+        data = tmp_path / "molecules.jsonl"
+        data.write_text("", encoding="utf-8")
+        config = RunConfig(data_path=str(data), cache_path=str(tmp_path / "f.cache"),
+                           variant=variant)
+        assert cli.cmd_featurize(config) == 0
+        header, features = cli.read_feature_cache(config.cache_path)
+        assert header["molecules"] == [] and features == {}
 
     def test_dataset_edited_after_featurize_is_data_error(self, workspace, capsys):
         tmp_path, config_path, _ = workspace

@@ -11,10 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from molpeco.checkpoints import read_arrays
 from molpeco.chemio import Atom, Molecule
 from molpeco.errors import ConvergenceError, DataError, GeometryError
 from molpeco.features import (
     BOHR_PER_ANGSTROM,
+    CACHE_MAGIC,
     MIN_ATOM_DISTANCE,
     MolFeatures,
     _fix_signs,
@@ -513,8 +515,10 @@ class TestFeatureCache:
         write_feature_cache(path, feats, header)
         got_header, got = read_feature_cache(path)
         assert got_header["variant"] == "mol-peco-sym"
-        assert got_header["molecules"] == [["m0", []], ["m1", ["a", "b"]],
-                                           ["m2", []], ["m3", ["a", "b"]]]
+        assert got_header["molecules"] == [
+            [mol.id, sorted(mol.labels), mol.num_atoms,
+             None if mol.bonds is None else mol.num_atoms - 1] for mol in mols]
+        assert got_header["molecules"][1][1] == ["a", "b"]
         assert list(got) == ["m0", "m1", "m2", "m3"]
         for mol, feat in zip(mols, feats):
             loaded = got[feat.mol_id]
@@ -547,6 +551,24 @@ class TestFeatureCache:
             assert np.array_equal(loaded.matrix, feat.matrix)
             assert np.array_equal(loaded.atomic_numbers, feat.atomic_numbers)
             assert np.array_equal(loaded.spectrum.eigenvectors, feat.spectrum.eigenvectors)
+
+    def test_fields_are_packed_in_molecule_order(self, tmp_path):
+        rng = np.random.default_rng(20)
+        mols = [random_molecule(rng, f"m{i}", with_bonds=i != 1) for i in range(3)]
+        feats = [featurize_molecule(m, "mol-peco-asym") for m in mols]
+        write_feature_cache(tmp_path / "cache.bin", feats, {"variant": "mol-peco-asym"})
+        _, arrays = read_arrays(tmp_path / "cache.bin", CACHE_MAGIC, "feature cache")
+        assert sorted(arrays) == ["bonds", "eigenvalues", "eigenvectors", "matrix", "xyz", "z"]
+        assert np.array_equal(arrays["z"], np.concatenate([f.atomic_numbers for f in feats]))
+        assert np.array_equal(arrays["xyz"], np.concatenate([m.coordinates() for m in mols]))
+        assert np.array_equal(arrays["matrix"],
+                              np.concatenate([f.matrix.ravel() for f in feats]))
+        assert np.array_equal(arrays["eigenvalues"],
+                              np.concatenate([f.spectrum.eigenvalues for f in feats]))
+        assert np.array_equal(arrays["eigenvectors"],
+                              np.concatenate([f.spectrum.eigenvectors.ravel() for f in feats]))
+        assert arrays["bonds"].tolist() == [list(b) for m in (mols[0], mols[2])
+                                            for b in m.bonds]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
