@@ -4,7 +4,7 @@
 moves it over ``path`` with ``os.replace``, so a failed or killed write
 leaves ``path`` as it was. ``write_arrays`` / ``read_arrays`` hold the one
 binary layout, used by checkpoints ("MPCK0001"), the feature cache
-("MPEC0004") and the binary copy of an embedding CSV ("MPEM0001"):
+("MPEC0005") and the binary copy of an embedding CSV ("MPEM0001"):
 magic, u32 little-endian JSON header length, canonical JSON header, u32
 array count, then per array sorted by name (so identical contents
 serialize byte-identically): u32 name length + UTF-8 name, u32 ndim, u32

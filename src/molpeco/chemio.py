@@ -15,7 +15,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -108,12 +108,15 @@ class LabelVocabulary:
 
 
 class Dataset:
-    """Molecules plus their binary target matrix under a fixed vocabulary.
+    """Rows plus their binary target matrix under a fixed vocabulary.
 
-    Immutable after construction; the target matrix is write-protected.
+    A row is anything with an ``id`` and ``labels``: a ``Molecule`` before
+    featurize, its ``features.MolFeatures`` after. The rows are kept in
+    ``molecules``. Immutable after construction; the target matrix is
+    write-protected.
     """
 
-    def __init__(self, molecules: Sequence[Molecule], vocabulary: LabelVocabulary,
+    def __init__(self, molecules: Sequence, vocabulary: LabelVocabulary,
                  targets: np.ndarray):
         if targets.shape != (len(molecules), len(vocabulary)):
             raise DataError(
@@ -151,9 +154,10 @@ class Split:
         return {"train": self.train, "val": self.val, "test": self.test}
 
 
-def build_dataset(molecules: Sequence[Molecule]) -> Dataset:
-    """Assemble a Dataset, building the vocabulary from the union of
-    observed labels, sorted lexicographically."""
+def build_dataset(molecules: Sequence) -> Dataset:
+    """Assemble a Dataset of rows with ``id`` and ``labels`` (molecules or
+    their features), building the vocabulary from the union of observed
+    labels, sorted lexicographically."""
     descriptors = sorted(set().union(*(m.labels for m in molecules)) if molecules else set())
     index = {name: i for i, name in enumerate(descriptors)}
     targets = np.zeros((len(molecules), len(descriptors)), dtype=np.uint8)
@@ -315,9 +319,9 @@ def filter_rare_descriptors(ds: Dataset, min_count: int = 30,
             f"no descriptor has >= {min_count} positive molecules; "
             "vocabulary would be empty"
         )
-    molecules = [
-        Molecule(m.id, m.atoms, m.bonds, m.labels & keep) for m in ds.molecules
-    ]
+    # rows are frozen: one whose labels are all kept is reused as it is
+    molecules = [m if m.labels <= keep else replace(m, labels=m.labels & keep)
+                 for m in ds.molecules]
     if drop_zero_label:
         molecules = [m for m in molecules if m.labels]
         if not molecules:

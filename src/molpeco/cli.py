@@ -55,10 +55,10 @@ def _clean(config: RunConfig, ds: chemio.Dataset) -> chemio.Dataset:
                                           config.drop_zero_label)
 
 
-def _load_cached(config: RunConfig):
-    """The cleaned dataset and its features, ``feats[i]`` belonging to
-    ``ds.molecules[i]``, from a feature cache built under this configuration
-    from the dataset file as it is, which is only hashed, not parsed."""
+def _load_cached(config: RunConfig) -> chemio.Dataset:
+    """The cleaned dataset, one ``MolFeatures`` row per molecule, from a
+    feature cache built under this configuration from the dataset file as
+    it is, which is only hashed, not parsed."""
     header, features = read_feature_cache(config.cache_path)
     expected = config.featurize_signature()
     actual = {key: header.get(key) for key in expected}
@@ -74,8 +74,7 @@ def _load_cached(config: RunConfig):
     if data_sha != _file_sha256(config.data_path):
         raise DataError("feature cache was built from a different dataset file; "
                         "re-run featurize")
-    ds = _clean(config, chemio.build_dataset([feat.molecule for feat in features.values()]))
-    return ds, [features[mol.id] for mol in ds.molecules]
+    return _clean(config, chemio.build_dataset(list(features.values())))
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -107,10 +106,10 @@ def cmd_split(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig) -> int:
-    ds, feats = _load_cached(config)
+    ds = _load_cached(config)
     split = chemio.load_split(config.split_path, len(ds))
     model_cfg = config.model_config(ds.num_descriptors)
-    result = train_loop(ds, split, model_cfg, config.train_config(), feats)
+    result = train_loop(ds, split, model_cfg, config.train_config())
 
     out = _out_dir(config)
     metadata = {
@@ -136,28 +135,35 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _load_part(config: RunConfig, part: str):
-    """The cleaned dataset, the indices of one split part, the features
-    aligned with the dataset, the output directory and the model restored
-    from its checkpoint."""
-    ds, feats = _load_cached(config)
+    """The cleaned dataset, the indices of one split part, the output
+    directory and the model restored from its checkpoint. A checkpoint
+    whose header is not an object or holds no valid model configuration
+    raises DataError."""
+    ds = _load_cached(config)
     split = chemio.load_split(config.split_path, len(ds))
     indices = split.parts().get(part)
     if indices is None:
         raise UsageError(f"unknown split part '{part}' (expected train, val, or test)")
     out = _out_dir(config)
     metadata, state = load_checkpoint(out / "checkpoint.bin")
+    if not isinstance(metadata, dict):
+        raise DataError("checkpoint header is not an object; re-run train")
     descriptors = metadata.get("descriptors")
     if descriptors is not None and list(ds.vocabulary.descriptors) != descriptors:
         raise DataError("checkpoint descriptors do not match the configured dataset")
-    model = MolPecoModel(ModelConfig.from_dict(metadata["model_config"]),
-                         seed=config.seed)
+    try:
+        model_cfg = ModelConfig.from_dict(metadata["model_config"])
+    except (KeyError, TypeError, DataError) as exc:
+        raise DataError(f"checkpoint holds no valid model configuration "
+                        f"({type(exc).__name__}: {exc}); re-run train") from exc
+    model = MolPecoModel(model_cfg, seed=config.seed)
     model.load_state(state)
-    return ds, indices, feats, out, model
+    return ds, indices, out, model
 
 
 def cmd_eval(config: RunConfig, part: str) -> int:
-    ds, indices, feats, out, model = _load_part(config, part)
-    report = evaluate(model, ds, indices, feats, config.threshold)
+    ds, indices, out, model = _load_part(config, part)
+    report = evaluate(model, ds, indices, config.threshold)
     with replacing(out / f"report_{part}.json") as handle:
         handle.write(report.to_json(config.config_hash()) + "\n")
     rows = [*report.per_descriptor.items(), ("macro", report.macro)]
@@ -184,22 +190,20 @@ def cmd_sweep(config: RunConfig, depths: str | None, variants: str | None) -> in
     else:
         axis, values = "variant", variants.split(",")
     rows = [replace(config, **{axis: value}) for value in values]
-    if depths:
-        ds, feats = _load_cached(config)
-    else:
-        # the cache holds one variant's features: each row featurizes its own
-        ds = _clean(config, _parse_dataset(config))
+    ds = _load_cached(config) if depths else _clean(config, _parse_dataset(config))
     split = chemio.load_split(config.split_path, len(ds))
     macros = []
     for row in rows:
+        featurized = ds
         if variants:
-            feats = [featurize_molecule(mol, row.variant, row.cm_normalization)
-                     for mol in ds.molecules]
+            # the cache holds one variant's features: each row featurizes its own
+            featurized = chemio.Dataset([featurize_molecule(mol, row.variant, row.cm_normalization)
+                                         for mol in ds.molecules], ds.vocabulary, ds.targets)
         model_cfg = row.model_config(ds.num_descriptors)
-        result = train_loop(ds, split, model_cfg, row.train_config(), feats)
+        result = train_loop(featurized, split, model_cfg, row.train_config())
         model = MolPecoModel(model_cfg, seed=row.seed)
         model.load_state(result.best_state)
-        macros.append(evaluate(model, ds, split.val, feats, row.threshold).macro)
+        macros.append(evaluate(model, featurized, split.val, row.threshold).macro)
     out = _out_dir(config)
     write_csv(out / "sweep.csv", config.config_hash(), (axis, *METRIC_NAMES),
               ([value, *map(macro.get, METRIC_NAMES)] for value, macro in zip(values, macros)))
@@ -210,8 +214,8 @@ def cmd_sweep(config: RunConfig, depths: str | None, variants: str | None) -> in
 
 
 def cmd_embed(config: RunConfig, part: str) -> int:
-    ds, indices, feats, out, model = _load_part(config, part)
-    _, embeddings = predict(model, [feats[i] for i in indices])
+    ds, indices, out, model = _load_part(config, part)
+    _, embeddings = predict(model, [ds.molecules[i] for i in indices])
     path = out / f"embeddings_{part}.csv"
     header = ["id", *(f"e{i}" for i in range(model.config.d))]
     write_csv(path, config.config_hash(), header,

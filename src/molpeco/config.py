@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .chemio import DEFAULT_MAX_ATOMS
 from .errors import DataError, MolpecoError
+from .features import NORMALIZATIONS
 from .model import ModelConfig
 from .train import TrainConfig
 
@@ -24,8 +25,9 @@ class UsageError(MolpecoError):
 class RunConfig:
     """Every setting of a run. Construction raises UsageError for a value of
     another type than the declared one (a bool is not a number, an int stands
-    for a float), for a ``threshold`` outside the open interval (0, 1), and for
-    a value out of the ranges ``ModelConfig`` and ``TrainConfig`` take."""
+    for a float), for a ``cm_normalization`` not in ``features.NORMALIZATIONS``,
+    for a ``threshold`` outside the open interval (0, 1), and for a value out
+    of the ranges ``ModelConfig`` and ``TrainConfig`` take."""
 
     # paths
     data_path: str = "molecules.jsonl"
@@ -43,7 +45,7 @@ class RunConfig:
     p: int = ModelConfig.p
     gcn_layers: int = ModelConfig.gcn_layers
     transformer_layers: int = ModelConfig.transformer_layers
-    cm_normalization: str = ModelConfig.cm_normalization
+    cm_normalization: str = "frobenius"
     clf_layers: int = ModelConfig.clf_layers
     z_max: int = ModelConfig.z_max
     # splitting
@@ -61,6 +63,9 @@ class RunConfig:
             value = getattr(self, name)
             if not _conforms(value, hint):
                 raise UsageError(f"'{name}' must be {self.__annotations__[name]}, got {value!r}")
+        if self.cm_normalization not in NORMALIZATIONS:
+            raise UsageError(f"'cm_normalization' must be one of {NORMALIZATIONS}, "
+                             f"got {self.cm_normalization!r}")
         if not 0.0 < self.threshold < 1.0:  # also false for NaN
             raise UsageError(f"'threshold' must lie in (0, 1), where the reported "
                              f"scores lie, got {self.threshold!r}")

@@ -5,30 +5,30 @@ normalization, weighted graph Laplacians, a LAPACK symmetric eigensolver
 with deterministic sign conventions, and the positional-encoding input
 built from the lowest spectral pairs. Also maps the featurization cache
 the CLI writes onto the array layout of ``checkpoints``: magic
-"MPEC0004", each field of all molecules packed into one array, and each
-molecule's atom and bond counts in the header (``write_feature_cache``).
-The cache also holds each molecule's coordinates, bonds and labels, so
-the commands after ``featurize`` rebuild the dataset from it; a cache in
-an older layout ("MPEC0001" to "MPEC0003") is rejected.
+"MPEC0005", each field of all molecules packed into one array, and each
+molecule's id, labels and atom count in the header (``write_feature_cache``).
+After ``featurize`` a dataset row is a molecule's ``MolFeatures``, which
+carries its id and labels, so the later commands rebuild the dataset from
+the cache alone; a cache in an older layout ("MPEC0001" to "MPEC0004") is
+rejected.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .checkpoints import read_arrays, write_arrays
-from .chemio import Atom, Molecule
+from .chemio import Molecule
 from .errors import ConvergenceError, DataError, GeometryError, ShapeError
 
 BOHR_PER_ANGSTROM = 1.8897259886
 NORM_EPSILON = 1e-9
 MIN_ATOM_DISTANCE = 1e-6  # Angstrom; closer pairs are degenerate geometry
 
-CACHE_MAGIC = b"MPEC0004"
+CACHE_MAGIC = b"MPEC0005"
 
 NORMALIZATIONS = ("frobenius", "minmax", "none")
 
@@ -221,19 +221,19 @@ def lpe_input(spectrum: Spectrum, p: int = 20) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MolFeatures:
-    """Everything the model forward pass needs for one molecule, and the
-    molecule it was computed from.
+    """Everything the model forward pass needs for one molecule, with the
+    molecule's id and labels: a dataset row once the molecule is featurized.
 
     ``kind`` records which matrix/spectrum combination was built
     ("adjacency-gcn", "coulomb-gcn", "mol-peco-sym", "mol-peco-asym") so
     variant mismatches are detectable.
     """
 
-    mol_id: str
+    id: str
     kind: str
     atomic_numbers: np.ndarray
     matrix: np.ndarray
-    molecule: Molecule
+    labels: frozenset[str]
     spectrum: Optional[Spectrum] = None
 
 
@@ -248,27 +248,26 @@ def featurize_molecule(mol: Molecule, variant: str,
     """
     z = mol.atomic_numbers()
     if variant == "adjacency-gcn":
-        return MolFeatures(mol.id, variant, z, adjacency_matrix(mol), mol)
+        return MolFeatures(mol.id, variant, z, adjacency_matrix(mol), mol.labels)
     if variant not in ("coulomb-gcn", "mol-peco-sym", "mol-peco-asym"):
         raise DataError(f"unknown model variant '{variant}'")
     matrix = normalize(coulomb_matrix(mol), normalization)
     if variant == "coulomb-gcn":
-        return MolFeatures(mol.id, variant, z, matrix, mol)
+        return MolFeatures(mol.id, variant, z, matrix, mol.labels)
     if variant == "mol-peco-sym":
         spectrum = eig_symmetric(sym_normalized_laplacian(matrix))
     else:
         spectrum = asym_normalized_laplacian(matrix)
-    return MolFeatures(mol.id, variant, z, matrix, mol, spectrum)
+    return MolFeatures(mol.id, variant, z, matrix, mol.labels, spectrum)
 
 
 def _field_shapes(entries: list, spectral: bool) -> dict[str, tuple[int, ...]]:
-    """The packed fields' shapes for ``entries``, ``[id, labels, n, b or
-    None]`` each: per molecule, n x n values of ``matrix`` and
-    ``eigenvectors``, n rows of ``z``, ``xyz`` and ``eigenvalues``, b of ``bonds``."""
+    """The packed fields' shapes for ``entries``, ``[id, labels, n]`` each:
+    per molecule, n x n values of ``matrix`` and ``eigenvectors`` and n of
+    ``z`` and ``eigenvalues``."""
     atoms = sum(entry[2] for entry in entries)
     squares = sum(entry[2] ** 2 for entry in entries)
-    shapes = {"matrix": (squares,), "z": (atoms,), "xyz": (atoms, 3),
-              "bonds": (sum(entry[3] or 0 for entry in entries), 2)}
+    shapes = {"matrix": (squares,), "z": (atoms,)}
     if spectral:
         shapes.update(eigenvalues=(atoms,), eigenvectors=(squares,))
     return shapes
@@ -276,19 +275,14 @@ def _field_shapes(entries: list, spectral: bool) -> dict[str, tuple[int, ...]]:
 
 def write_feature_cache(path, features: list[MolFeatures], header: dict) -> None:
     """Write the feature cache: the header plus ``molecules``, the ``[id,
-    sorted labels, atom count, bond count or null]`` of every molecule in
-    the order given, and each field of all molecules packed in that order
-    into one array of the shape ``_field_shapes`` gives."""
-    mols = [feat.molecule for feat in features]
-    listed = [[mol.id, sorted(mol.labels), mol.num_atoms,
-               None if mol.bonds is None else len(mol.bonds)] for mol in mols]
+    sorted labels, atom count]`` of every molecule in the order given, and
+    each field of all molecules packed in that order into one array of the
+    shape ``_field_shapes`` gives."""
+    listed = [[feat.id, sorted(feat.labels), len(feat.atomic_numbers)] for feat in features]
     shapes = _field_shapes(listed, any(feat.spectrum is not None for feat in features))
-    pairs = itertools.chain.from_iterable(mol.bonds for mol in mols if mol.bonds is not None)
     # written molecule by molecule: the packed arrays are never built in memory
     parts = {"matrix": (feat.matrix for feat in features),
              "z": (feat.atomic_numbers for feat in features),
-             "xyz": (mol.coordinates() for mol in mols),
-             "bonds": [np.fromiter(itertools.chain.from_iterable(pairs), np.float64)],
              "eigenvalues": (feat.spectrum.eigenvalues for feat in features),
              "eigenvectors": (feat.spectrum.eigenvectors for feat in features)}
     write_arrays(path, CACHE_MAGIC, {name: (shape, parts[name]) for name, shape in shapes.items()},
@@ -296,19 +290,17 @@ def write_feature_cache(path, features: list[MolFeatures], header: dict) -> None
 
 
 def _is_entry(entry) -> bool:
-    """Whether ``entry`` is ``[id, labels, atom count >= 1, bond count >= 0 or null]``."""
-    return (isinstance(entry, list) and len(entry) == 4 and isinstance(entry[0], str)
+    """Whether ``entry`` is ``[id, labels, atom count >= 1]``."""
+    return (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
             and isinstance(entry[1], list) and all(isinstance(x, str) for x in entry[1])
-            and type(entry[2]) is int and entry[2] >= 1
-            and (entry[3] is None or type(entry[3]) is int and entry[3] >= 0))
+            and type(entry[2]) is int and entry[2] >= 1)
 
 
 def read_feature_cache(path) -> tuple[dict, dict[str, MolFeatures]]:
     """(header, id -> MolFeatures) of a feature cache, in the order of the
-    header's ``molecules``, each with its molecule rebuilt from the cached
-    atomic numbers, coordinates, bonds and labels, and its matrix and
-    spectrum read-only views into the packed arrays. Any fault in the
-    file, or a cache in an older layout, raises DataError."""
+    header's ``molecules``, each with its cached labels, and its matrix and
+    spectrum read-only views into the packed arrays. Any fault in the file,
+    or a cache in an older layout, raises DataError."""
     try:
         header, arrays = read_arrays(path, CACHE_MAGIC, "feature cache")
     except DataError as exc:
@@ -328,30 +320,23 @@ def read_feature_cache(path) -> tuple[dict, dict[str, MolFeatures]]:
     wrong = [name for name, shape in shapes.items() if arrays[name].shape != shape]
     if wrong:
         raise fault(f"has arrays {wrong} of the wrong shape, not {[shapes[n] for n in wrong]}")
-    for name, what in (("z", "atomic numbers"), ("bonds", "bond indices")):
-        if not (np.isfinite(arrays[name]).all()
-                and np.array_equal(arrays[name], np.trunc(arrays[name]))):
-            raise fault(f"has {what} that are not whole numbers")
+    if not (np.isfinite(arrays["z"]).all() and np.array_equal(arrays["z"], np.trunc(arrays["z"]))):
+        raise fault("has atomic numbers that are not whole numbers")
 
     for values in arrays.values():
         values.flags.writeable = False
     kind = header.get("variant", "")
-    z_all, bonds_all = arrays["z"].astype(np.int64), arrays["bonds"].astype(np.int64)
+    z_all = arrays["z"].astype(np.int64)
     features: dict[str, MolFeatures] = {}
-    atom = square = bond = 0
-    for mol_id, names, n, bond_count in entries:
+    atom = square = 0
+    for mol_id, names, n in entries:
         rows, flat = slice(atom, atom + n), slice(square, square + n * n)
-        z = z_all[rows]
-        atoms = tuple(map(Atom, z.tolist(), zip(*arrays["xyz"][rows].T.tolist())))
-        bonds = None
-        if bond_count is not None:
-            bonds = tuple(zip(*bonds_all[bond:bond + bond_count].T.tolist()))
-            bond += bond_count
         spectrum = None
         if "eigenvalues" in arrays:
             spectrum = Spectrum(arrays["eigenvalues"][rows],
                                 arrays["eigenvectors"][flat].reshape(n, n))
-        features[mol_id] = MolFeatures(mol_id, kind, z, arrays["matrix"][flat].reshape(n, n),
-                                       Molecule(mol_id, atoms, bonds, frozenset(names)), spectrum)
+        features[mol_id] = MolFeatures(mol_id, kind, z_all[rows],
+                                       arrays["matrix"][flat].reshape(n, n),
+                                       frozenset(names), spectrum)
         atom, square = rows.stop, flat.stop
     return header, features

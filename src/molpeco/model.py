@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, TransformerBlockParams
 from .errors import DataError, ShapeError
-from .features import NORMALIZATIONS, MolFeatures, Spectrum, lpe_input
+from .features import MolFeatures, Spectrum, lpe_input
 
 VARIANTS = ("adjacency-gcn", "coulomb-gcn", "mol-peco-sym", "mol-peco-asym")
 LPE_VARIANTS = ("mol-peco-sym", "mol-peco-asym")
@@ -35,15 +35,12 @@ class ModelConfig:
     p: int = 20
     gcn_layers: int = 3
     transformer_layers: int = 4
-    cm_normalization: str = "frobenius"
     clf_layers: int = 1
     z_max: int = 87  # embedding rows: atomic numbers 1..86 (H..Rn)
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise DataError(f"unknown variant '{self.variant}' (expected one of {VARIANTS})")
-        if self.cm_normalization not in NORMALIZATIONS:
-            raise DataError(f"unknown normalization '{self.cm_normalization}'")
         if min(self.o, self.d, self.p, self.gcn_layers, self.transformer_layers,
                self.clf_layers, self.z_max) < 1:
             raise DataError("all model dimensions and depths must be >= 1")
@@ -228,11 +225,11 @@ def forward(feats: MolFeatures | Sequence[MolFeatures],
     for feat in feats:
         if feat.kind != config.variant:
             raise DataError(
-                f"features of molecule '{feat.mol_id}' were built for variant "
+                f"features of molecule '{feat.id}' were built for variant "
                 f"'{feat.kind}', model expects '{config.variant}'"
             )
         if config.uses_lpe and feat.spectrum is None:
-            raise DataError(f"molecule '{feat.mol_id}' lacks the spectrum needed by "
+            raise DataError(f"molecule '{feat.id}' lacks the spectrum needed by "
                             f"'{config.variant}'")
     h0 = atom_init_embedding(np.concatenate([feat.atomic_numbers for feat in feats]),
                              model)

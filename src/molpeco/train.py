@@ -158,9 +158,9 @@ def predict(model: MolPecoModel,
 
 
 def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
-               train_cfg: TrainConfig, feats: Sequence[MolFeatures]) -> TrainResult:
-    """Train one model, tracking the checkpoint with minimal validation
-    loss. ``feats[i]`` holds the features of ``dataset.molecules[i]``.
+               train_cfg: TrainConfig) -> TrainResult:
+    """Train one model on a dataset of ``MolFeatures`` rows, tracking the
+    checkpoint with minimal validation loss.
 
     Each epoch shuffles the training split with a seeded generator, then
     logs train loss, validation loss, and unweighted validation macro
@@ -170,9 +170,9 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
     """
     if not split.train or not split.val:
         raise DataError("train and validation splits must be non-empty")
-    train_feats = [feats[i] for i in split.train]
+    train_feats = [dataset.molecules[i] for i in split.train]
     train_targets = dataset.targets[np.asarray(split.train, dtype=np.int64)]
-    val_feats = [feats[i] for i in split.val]
+    val_feats = [dataset.molecules[i] for i in split.val]
     val_targets = dataset.targets[np.asarray(split.val, dtype=np.int64)]
     loss_cfg = LossConfig.from_dataset(dataset, split.train)
     model = MolPecoModel(model_cfg, seed=train_cfg.seed)
@@ -232,12 +232,12 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
 
 
 def evaluate(model: MolPecoModel, dataset: Dataset, indices: Sequence[int],
-             feats: Sequence[MolFeatures], threshold: float = 0.5) -> EvalReport:
+             threshold: float = 0.5) -> EvalReport:
     """Per-descriptor and macro metrics of a trained model on one split
-    part; ``feats[i]`` holds the features of ``dataset.molecules[i]``."""
+    part of a dataset of ``MolFeatures`` rows."""
     if not indices:
         raise DataError("cannot evaluate an empty split")
-    logits, _ = predict(model, [feats[i] for i in indices])
+    logits, _ = predict(model, [dataset.molecules[i] for i in indices])
     targets = dataset.targets[np.asarray(indices, dtype=np.int64)]
     return eval_report(probabilities(logits), targets, dataset.vocabulary.descriptors,
                        threshold)

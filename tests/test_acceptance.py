@@ -401,13 +401,13 @@ class TestCriterion7OverfitSmoke:
                                 z_max=20)
         train_cfg = TrainConfig(learning_rate=0.01, batch_size=2, max_epochs=500,
                                 patience=10_000, seed=0, stop_train_loss=0.01)
-        feats = [featurize_molecule(mol, "mol-peco-sym") for mol in ds.molecules]
-        result = train_loop(ds, split, model_cfg, train_cfg, feats)
+        ds = build_dataset([featurize_molecule(mol, "mol-peco-sym") for mol in ds.molecules])
+        result = train_loop(ds, split, model_cfg, train_cfg)
         final_loss = result.history[-1]["train_loss"]
         epochs = len(result.history)
         model = MolPecoModel(model_cfg, seed=0)
         model.load_state(result.best_state)
-        train_report = evaluate(model, ds, list(split.train), feats)
+        train_report = evaluate(model, ds, list(split.train))
         min_auroc = min(v["auroc"] for v in train_report.per_descriptor.values())
         elapsed = time.perf_counter() - start
         ok = (final_loss < 0.05 and min_auroc >= 0.99 and result.best_epoch == epochs

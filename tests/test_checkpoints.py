@@ -144,14 +144,12 @@ def test_parts_that_miss_their_shape_are_not_written(tmp_path, parts):
 
 
 class TestFeatureCacheStructure:
-    # molecule "m": 2 atoms and 1 bond; molecule "n": 1 atom and no bond list
-    ENTRIES = [["m", ["x"], 2, 1], ["n", [], 1, None]]
+    # molecule "m": 2 atoms; molecule "n": 1 atom
+    ENTRIES = [["m", ["x"], 2], ["n", [], 1]]
 
     def _arrays(self, spectrum=False):
         arrays = {"matrix": np.array([1.0, 0.0, 0.0, 1.0, 5.0]),  # 2 x 2, then 1 x 1
-                  "z": np.array([1.0, 1.0, 8.0]),
-                  "xyz": np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.74], [1.0, 2.0, 3.0]]),
-                  "bonds": np.array([[0.0, 1.0]])}
+                  "z": np.array([1.0, 1.0, 8.0])}
         if spectrum:
             arrays.update(eigenvalues=np.array([0.0, 2.0, 0.0]),
                           eigenvectors=np.array([1.0, 2.0, 3.0, 4.0, 1.0]))
@@ -165,16 +163,16 @@ class TestFeatureCacheStructure:
     def test_minimal_cache_reads(self, tmp_path):
         got = self._read(tmp_path, self._arrays())
         assert list(got) == ["m", "n"]
-        m, n = got["m"].molecule, got["n"].molecule
-        assert m.atomic_numbers().tolist() == [1, 1] and n.atomic_numbers().tolist() == [8]
-        assert m.bonds == ((0, 1),) and n.bonds is None
+        m, n = got["m"], got["n"]
+        assert (m.id, n.id) == ("m", "n")
+        assert m.atomic_numbers.tolist() == [1, 1] and n.atomic_numbers.tolist() == [8]
+        assert m.atomic_numbers.dtype == np.int64
         assert m.labels == {"x"} and n.labels == frozenset()
-        assert n.atoms[0].position == (1.0, 2.0, 3.0)
         assert got["m"].matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert got["n"].matrix.tolist() == [[5.0]]
         assert got["m"].spectrum is None and got["n"].spectrum is None
 
-    @pytest.mark.parametrize("drop", ["matrix", "z", "xyz", "bonds"])
+    @pytest.mark.parametrize("drop", ["matrix", "z"])
     def test_missing_field_rejected(self, tmp_path, drop):
         arrays = self._arrays()
         del arrays[drop]
@@ -192,42 +190,37 @@ class TestFeatureCacheStructure:
             self._read(tmp_path, arrays)
 
     @pytest.mark.parametrize("entries, wrong", [
-        ([*ENTRIES, ["o", [], 1, None]], "matrix', 'z', 'xyz"),  # one molecule more
-        (ENTRIES[:1], "matrix', 'z', 'xyz"),                      # one molecule less
-        ([["m", ["x"], 2, 2], ENTRIES[1]], "bonds"),              # bond count off
-        ([["m", ["x"], 2, None], ENTRIES[1]], "bonds"),           # bonds not listed
-        ([["m", ["x"], 2, 1], ["n", [], 2, None]], "matrix', 'z', 'xyz"),
+        ([*ENTRIES, ["o", [], 1]], "matrix', 'z"),  # one molecule more
+        (ENTRIES[:1], "matrix', 'z"),                # one molecule less
+        ([["m", ["x"], 2], ["n", [], 2]], "matrix', 'z"),
+        ([["m", ["x"], 3]], "matrix"),                # the same atoms, other squares
     ])
     def test_count_mismatch_rejected(self, tmp_path, entries, wrong):
         with pytest.raises(DataError, match=f"\\['{wrong}'\\] of the wrong shape"):
             self._read(tmp_path, self._arrays(), {"molecules": entries})
 
     @pytest.mark.parametrize("header", [
-        {}, {"molecules": 3}, {"molecules": [["m"]]}, {"molecules": [["m", ["x"], 2]]},
-        {"molecules": [["m", "x", 2, 1]]}, {"molecules": [[7, ["x"], 2, 1]]},
-        {"molecules": [["m", [7], 2, 1]]}, {"molecules": [["m", ["x"], 0, 1]]},
-        {"molecules": [["m", ["x"], 2.0, 1]]}, {"molecules": [["m", ["x"], True, 1]]},
-        {"molecules": [["m", ["x"], 2, -1]]}, {"molecules": [["m", ["x"], 2, 1.0]]},
-        ["molecules"],
+        {}, {"molecules": 3}, {"molecules": [["m"]]}, {"molecules": [["m", ["x"]]]},
+        {"molecules": [["m", ["x"], 2, 1]]}, {"molecules": [["m", "x", 2]]},
+        {"molecules": [[7, ["x"], 2]]}, {"molecules": [["m", [7], 2]]},
+        {"molecules": [["m", ["x"], 0]]}, {"molecules": [["m", ["x"], -1]]},
+        {"molecules": [["m", ["x"], 2.0]]}, {"molecules": [["m", ["x"], True]]},
+        {"molecules": ["m"]}, ["molecules"],
     ], ids=repr)
     def test_missing_or_malformed_molecule_list_rejected(self, tmp_path, header):
         with pytest.raises(DataError, match="no valid molecule list.*re-run featurize"):
             self._read(tmp_path, self._arrays(), header)
 
     def test_repeated_id_rejected(self, tmp_path):
-        entries = [["m", ["x"], 2, 1], ["m", [], 1, None]]
+        entries = [["m", ["x"], 2], ["m", [], 1]]
         with pytest.raises(DataError, match="lists a molecule id more than once"):
             self._read(tmp_path, self._arrays(), {"molecules": entries})
 
     @pytest.mark.parametrize("name, values", [
-        ("xyz", np.zeros((4, 3))),            # one row per atom expected
-        ("xyz", np.zeros((3, 2))),
-        ("xyz", np.zeros(9)),
-        ("bonds", np.array([[0.0, 1.0, 1.0]])),
-        ("bonds", np.array([0.0, 1.0])),
         ("matrix", np.ones(4)),               # sum of n^2 = 5 expected
         ("matrix", np.ones((5, 1))),
         ("z", np.array([[1.0], [1.0], [8.0]])),
+        ("z", np.ones(4)),                    # sum of n = 3 expected
         ("eigenvalues", np.zeros(5)),         # sum of n = 3 expected
         ("eigenvalues", np.zeros((3, 1))),
         ("eigenvectors", np.zeros(3)),        # sum of n^2 = 5 expected
@@ -250,12 +243,7 @@ class TestFeatureCacheStructure:
         with pytest.raises(DataError, match="atomic numbers that are not whole numbers; re-run"):
             self._read(tmp_path, dict(self._arrays(), z=np.array(z)))
 
-    @pytest.mark.parametrize("bond", [[0.0, 1.5], [np.nan, 1.0], [0.0, np.inf]])
-    def test_bond_indices_not_whole_rejected(self, tmp_path, bond):
-        with pytest.raises(DataError, match="bond indices that are not whole numbers; re-run"):
-            self._read(tmp_path, dict(self._arrays(), bonds=np.array([bond])))
-
-    @pytest.mark.parametrize("magic", [b"MPEC0002", b"MPEC0003"])
+    @pytest.mark.parametrize("magic", [b"MPEC0002", b"MPEC0003", b"MPEC0004"])
     def test_previous_layout_asks_for_featurize(self, tmp_path, magic):
         header = json.dumps({"count": 0}).encode("utf-8")
         path = tmp_path / "old.cache"
@@ -289,8 +277,7 @@ class TestFailedWriteKeepsPreviousFile:
         before = path.read_bytes()
         good = featurize_molecule(random_molecule(np.random.default_rng(3), "a"),
                                   "coulomb-gcn")
-        bad = MolFeatures("b", "coulomb-gcn", good.atomic_numbers, Exploding(),
-                          good.molecule)
+        bad = MolFeatures("b", "coulomb-gcn", good.atomic_numbers, Exploding(), frozenset())
         with pytest.raises(OSError):
             write_feature_cache(path, [good, bad], {"variant": "coulomb-gcn"})
         self._assert_unchanged(path, before)

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from molpeco import chemio, cli, train
-from molpeco.checkpoints import load_checkpoint, read_arrays, write_arrays
+from molpeco.checkpoints import load_checkpoint, read_arrays, save_checkpoint, write_arrays
 from molpeco.chemio import serialize_molecules
 from molpeco.cli import main, read_embeddings, retrieve_neighbors
 from molpeco.config import RunConfig
 from molpeco.errors import DataError
-from molpeco.features import CACHE_MAGIC
+from molpeco.features import CACHE_MAGIC, featurize_molecule
 from molpeco.metrics import METRIC_NAMES
 
 from synthdata import organic_molecule, structure_labeled_set
@@ -157,7 +157,8 @@ class TestParseOnce:
         def parsed_with_cached_features(config):
             _, features = cli.read_feature_cache(config.cache_path)
             ds = cli._clean(config, cli._parse_dataset(config))
-            return ds, [features[mol.id] for mol in ds.molecules]
+            return chemio.Dataset([features[mol.id] for mol in ds.molecules],
+                                  ds.vocabulary, ds.targets)
 
         # the parsed dataset with the cache's features, as the sweep once read them
         with monkeypatch.context() as patch:
@@ -173,7 +174,8 @@ class TestParseOnce:
         assert run_cli("sweep", "--config", config_path, "--depths", "1") == 0
         assert sweep_csv.read_bytes() == parsed
 
-    def test_cached_dataset_equals_parsed_dataset(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["coulomb-gcn", "mol-peco-asym"])
+    def test_cached_dataset_equals_parsed_dataset(self, tmp_path, variant):
         rng = np.random.default_rng(4)
         bonded = [organic_molecule(rng, f"org/{i}", int(rng.integers(10, 30)))
                   for i in range(6)]
@@ -196,25 +198,28 @@ class TestParseOnce:
         data = tmp_path / "molecules.jsonl"
         data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         config = RunConfig(data_path=str(data), cache_path=str(tmp_path / "f.cache"),
-                           variant="coulomb-gcn", min_label_count=2)
+                           variant=variant, min_label_count=2)
         assert cli.cmd_featurize(config) == 0
 
-        cached, feats = cli._load_cached(config)
+        cached = cli._load_cached(config)
         parsed = cli._clean(config, cli._parse_dataset(config))
         _, features = cli.read_feature_cache(config.cache_path)
         assert list(features) == list(dict.fromkeys(r["id"] for r in records))
-        assert [m.id for m in cached.molecules] == [m.id for m in parsed.molecules]
-        assert [feat.mol_id for feat in feats] == [m.id for m in parsed.molecules]
-        by_id = {m.id: m for m in parsed.molecules}
-        assert len(by_id) == len(records) - 2 and records[1]["id"] not in by_id
-        assert by_id["single"].bonds == ()
-        assert by_id[records[8]["id"]].bonds == ((0, 1),)
-        assert by_id[records[9]["id"]].bonds is None
-        for got, want in zip(cached.molecules, parsed.molecules):
-            assert got.atoms == want.atoms
-            assert [type(a.atomic_number) for a in got.atoms] == [int] * got.num_atoms
-            assert got.bonds == want.bonds
-            assert got.labels == want.labels
+        assert [row.id for row in cached.molecules] == [m.id for m in parsed.molecules]
+        assert len(parsed) == len(records) - 2
+        assert records[1]["id"] not in [m.id for m in parsed.molecules]
+        for got, mol in zip(cached.molecules, parsed.molecules):
+            assert got.labels == mol.labels
+            want = featurize_molecule(mol, variant)
+            assert got.kind == want.kind
+            assert got.atomic_numbers.tobytes() == want.atomic_numbers.tobytes()
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            if variant == "coulomb-gcn":
+                assert got.spectrum is None
+            else:
+                assert got.spectrum.eigenvalues.tobytes() == want.spectrum.eigenvalues.tobytes()
+                assert (got.spectrum.eigenvectors.tobytes()
+                        == want.spectrum.eigenvectors.tobytes())
         assert np.array_equal(cached.targets, parsed.targets)
         assert cached.targets.dtype == parsed.targets.dtype
         assert cached.vocabulary == parsed.vocabulary
@@ -265,7 +270,7 @@ class TestExitCodes:
         assert run_cli("featurize", "--data", data,
                        "--cache", tmp_path / "c.bin") == 3
 
-    @pytest.mark.parametrize("magic", [b"MPEC0002", b"MPEC0003"])
+    @pytest.mark.parametrize("magic", [b"MPEC0002", b"MPEC0003", b"MPEC0004"])
     def test_cache_in_previous_layout_is_data_error(self, workspace, capsys, magic):
         tmp_path, config_path, _ = workspace
         assert run_cli("featurize", "--config", config_path) == 0
@@ -316,20 +321,26 @@ class TestExitCodes:
             assert run_cli(*command, "--config", config_path) == 3
             assert "does not record which dataset file" in capsys.readouterr().err
 
-    def test_cached_bond_index_not_whole_is_data_error(self, tmp_path, capsys):
-        data = tmp_path / "molecules.jsonl"
-        data.write_text(json.dumps({"id": "h2", "atoms": [["H", 0, 0, 0], ["H", 0, 0, 0.74]],
-                                    "bonds": [[0, 1]], "labels": ["x"]}) + "\n",
-                        encoding="utf-8")
-        cache = tmp_path / "features.cache"
-        assert run_cli("featurize", "--data", data, "--cache", cache) == 0
-        header, arrays = read_arrays(cache, CACHE_MAGIC, "feature cache")
-        assert arrays["bonds"].tolist() == [[0.0, 1.0]]
-        write_arrays(cache, CACHE_MAGIC, dict(arrays, bonds=np.array([[0.0, 1.5]])), header)
+    @pytest.mark.parametrize("fault", ["unknown model_config key", "no model_config",
+                                       "header not an object"])
+    def test_bad_checkpoint_metadata_is_data_error(self, workspace, capsys, fault):
+        tmp_path, config_path, _ = workspace
+        for command in ("featurize", "split", "train"):
+            assert run_cli(command, "--config", config_path) == 0
+        checkpoint = tmp_path / "out" / "checkpoint.bin"
+        metadata, state = load_checkpoint(checkpoint)
+        if fault == "unknown model_config key":
+            # as in checkpoints written while the model config held the normalization
+            metadata["model_config"]["cm_normalization"] = "frobenius"
+        elif fault == "no model_config":
+            del metadata["model_config"]
+        else:
+            metadata = list(metadata)
+        save_checkpoint(checkpoint, state, metadata)
         capsys.readouterr()
-        assert run_cli("train", "--data", data, "--cache", cache,
-                       "--split-file", tmp_path / "split.json") == 3
-        assert "bond indices that are not whole numbers" in capsys.readouterr().err
+        for command in (["eval", "--part", "val"], ["embed", "--part", "val"]):
+            assert run_cli(*command, "--config", config_path) == 3
+            assert "re-run train" in capsys.readouterr().err
 
     @pytest.mark.parametrize("variant", ["coulomb-gcn", "mol-peco-asym"])
     def test_empty_dataset_featurizes_to_an_empty_cache(self, tmp_path, variant):

@@ -189,9 +189,9 @@ class TestSweepRows:
         trained = []
         real_train_loop = cli.train_loop
 
-        def spy(dataset, split, model_cfg, train_cfg, features):
+        def spy(dataset, split, model_cfg, train_cfg):
             trained.append(model_cfg.transformer_layers)
-            return real_train_loop(dataset, split, model_cfg, train_cfg, features)
+            return real_train_loop(dataset, split, model_cfg, train_cfg)
 
         monkeypatch.setattr(cli, "train_loop", spy)
         assert run_cli("sweep", "--config", path, "--depths", "2,1") == 0

@@ -498,6 +498,15 @@ class TestFeaturizeMolecule:
                              - asym.spectrum.eigenvectors)) > 1e-6
         assert np.array_equal(sym.matrix, asym.matrix)
 
+    @pytest.mark.parametrize("variant", ["adjacency-gcn", "coulomb-gcn", "mol-peco-sym",
+                                         "mol-peco-asym"])
+    def test_features_carry_the_molecules_id_and_labels(self, variant):
+        # after featurize, a dataset row is the molecule's features
+        mol = random_molecule(np.random.default_rng(22), "m7", labels={"b", "a"},
+                              with_bonds=True)
+        feat = featurize_molecule(mol, variant)
+        assert (feat.id, feat.kind, feat.labels) == ("m7", variant, frozenset({"a", "b"}))
+
     def test_unknown_variant_rejected(self):
         rng = np.random.default_rng(21)
         with pytest.raises(DataError, match="variant"):
@@ -516,13 +525,12 @@ class TestFeatureCache:
         got_header, got = read_feature_cache(path)
         assert got_header["variant"] == "mol-peco-sym"
         assert got_header["molecules"] == [
-            [mol.id, sorted(mol.labels), mol.num_atoms,
-             None if mol.bonds is None else mol.num_atoms - 1] for mol in mols]
+            [mol.id, sorted(mol.labels), mol.num_atoms] for mol in mols]
         assert got_header["molecules"][1][1] == ["a", "b"]
         assert list(got) == ["m0", "m1", "m2", "m3"]
         for mol, feat in zip(mols, feats):
-            loaded = got[feat.mol_id]
-            assert loaded.molecule == mol
+            loaded = got[feat.id]
+            assert (loaded.id, loaded.kind, loaded.labels) == (mol.id, "mol-peco-sym", mol.labels)
             assert np.array_equal(loaded.matrix, feat.matrix)
             assert np.array_equal(loaded.atomic_numbers, feat.atomic_numbers)
             assert np.array_equal(loaded.spectrum.eigenvalues, feat.spectrum.eigenvalues)
@@ -546,8 +554,8 @@ class TestFeatureCache:
         _, got = read_feature_cache(tmp_path / "cache.bin")
         assert sorted(got) == sorted(ids)
         for feat in feats:
-            loaded = got[feat.mol_id]
-            assert loaded.mol_id == feat.mol_id
+            loaded = got[feat.id]
+            assert loaded.id == feat.id
             assert np.array_equal(loaded.matrix, feat.matrix)
             assert np.array_equal(loaded.atomic_numbers, feat.atomic_numbers)
             assert np.array_equal(loaded.spectrum.eigenvectors, feat.spectrum.eigenvectors)
@@ -558,17 +566,18 @@ class TestFeatureCache:
         feats = [featurize_molecule(m, "mol-peco-asym") for m in mols]
         write_feature_cache(tmp_path / "cache.bin", feats, {"variant": "mol-peco-asym"})
         _, arrays = read_arrays(tmp_path / "cache.bin", CACHE_MAGIC, "feature cache")
-        assert sorted(arrays) == ["bonds", "eigenvalues", "eigenvectors", "matrix", "xyz", "z"]
+        assert sorted(arrays) == ["eigenvalues", "eigenvectors", "matrix", "z"]
         assert np.array_equal(arrays["z"], np.concatenate([f.atomic_numbers for f in feats]))
-        assert np.array_equal(arrays["xyz"], np.concatenate([m.coordinates() for m in mols]))
         assert np.array_equal(arrays["matrix"],
                               np.concatenate([f.matrix.ravel() for f in feats]))
         assert np.array_equal(arrays["eigenvalues"],
                               np.concatenate([f.spectrum.eigenvalues for f in feats]))
         assert np.array_equal(arrays["eigenvectors"],
                               np.concatenate([f.spectrum.eigenvectors.ravel() for f in feats]))
-        assert arrays["bonds"].tolist() == [list(b) for m in (mols[0], mols[2])
-                                            for b in m.bonds]
+        plain = [featurize_molecule(m, "coulomb-gcn") for m in mols]
+        write_feature_cache(tmp_path / "plain.bin", plain, {"variant": "coulomb-gcn"})
+        _, arrays = read_arrays(tmp_path / "plain.bin", CACHE_MAGIC, "feature cache")
+        assert sorted(arrays) == ["matrix", "z"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

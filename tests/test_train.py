@@ -162,12 +162,12 @@ class TestTrainLoop:
         split = stratified_split(ds, (0.6, 0.2, 0.2), seed=seed)
         model_cfg = ModelConfig(variant="coulomb-gcn", o=ds.num_descriptors,
                                 d=8, p=4, gcn_layers=1, transformer_layers=1, z_max=20)
-        feats = [featurize_molecule(mol, "coulomb-gcn") for mol in ds.molecules]
-        return ds, split, model_cfg, feats
+        ds = build_dataset([featurize_molecule(mol, "coulomb-gcn") for mol in ds.molecules])
+        return ds, split, model_cfg
 
     def test_zero_epochs_returns_initial_parameters(self):
-        ds, split, model_cfg, feats = self._setup()
-        result = train_loop(ds, split, model_cfg, TrainConfig(max_epochs=0, seed=1), feats)
+        ds, split, model_cfg = self._setup()
+        result = train_loop(ds, split, model_cfg, TrainConfig(max_epochs=0, seed=1))
         assert result.history == []
         reference = MolPecoModel(model_cfg, seed=1).state_arrays()
         assert set(result.best_state) == set(reference)
@@ -175,26 +175,26 @@ class TestTrainLoop:
             assert np.array_equal(result.best_state[name], reference[name])
 
     def test_deterministic_history(self):
-        ds, split, model_cfg, feats = self._setup()
+        ds, split, model_cfg = self._setup()
         cfg = TrainConfig(max_epochs=3, batch_size=4, seed=7)
-        a = train_loop(ds, split, model_cfg, cfg, feats)
-        b = train_loop(ds, split, model_cfg, cfg, feats)
+        a = train_loop(ds, split, model_cfg, cfg)
+        b = train_loop(ds, split, model_cfg, cfg)
         assert a.history == b.history
         for name in a.best_state:
             assert np.array_equal(a.best_state[name], b.best_state[name])
 
     def test_checkpoint_has_minimal_val_loss(self):
-        ds, split, model_cfg, feats = self._setup()
+        ds, split, model_cfg = self._setup()
         result = train_loop(ds, split, model_cfg,
-                            TrainConfig(max_epochs=8, batch_size=4, seed=3), feats)
+                            TrainConfig(max_epochs=8, batch_size=4, seed=3))
         val_losses = [row["val_loss"] for row in result.history]
         assert result.best_val_loss <= min(val_losses)
         assert result.history[result.best_epoch - 1]["val_loss"] == result.best_val_loss
 
     def test_history_csv_schema(self, tmp_path):
-        ds, split, model_cfg, feats = self._setup()
+        ds, split, model_cfg = self._setup()
         result = train_loop(ds, split, model_cfg,
-                            TrainConfig(max_epochs=2, batch_size=4, seed=3), feats)
+                            TrainConfig(max_epochs=2, batch_size=4, seed=3))
         columns = list(result.history[0])
         write_csv(tmp_path / "history.csv", "deadbeef", columns,
                   ([row[name] for name in columns] for row in result.history))
@@ -208,29 +208,29 @@ class TestTrainLoop:
             assert [float(v) for v in values] == [row[name] for name in columns[1:]]
 
     def test_empty_split_rejected(self):
-        ds, split, model_cfg, feats = self._setup()
+        ds, split, model_cfg = self._setup()
         bad = type(split)(split.train, (), split.test, split.seed)
         with pytest.raises(DataError):
-            train_loop(ds, bad, model_cfg, TrainConfig(max_epochs=1), feats)
+            train_loop(ds, bad, model_cfg, TrainConfig(max_epochs=1))
 
     def test_loss_strictly_decreases_early_on_overfit_set(self):
         # full-batch, small learning rate: the first ten epochs should
         # descend monotonically in at least 9 of 10 seeds
-        ds, split, model_cfg, feats = self._setup()
+        ds, split, model_cfg = self._setup()
         wins = 0
         for seed in range(10):
             cfg = TrainConfig(learning_rate=3e-4, batch_size=len(split.train),
                               max_epochs=10, patience=100, seed=seed)
             losses = [row["train_loss"]
-                      for row in train_loop(ds, split, model_cfg, cfg, feats).history]
+                      for row in train_loop(ds, split, model_cfg, cfg).history]
             wins += all(b < a for a, b in zip(losses, losses[1:]))
         assert wins >= 9
 
     def test_stop_train_loss_halts_early(self):
-        ds, split, model_cfg, feats = self._setup()
+        ds, split, model_cfg = self._setup()
         cfg = TrainConfig(learning_rate=0.01, batch_size=4, max_epochs=200,
                           patience=1000, seed=0, stop_train_loss=2.0)
-        result = train_loop(ds, split, model_cfg, cfg, feats)
+        result = train_loop(ds, split, model_cfg, cfg)
         assert result.history[-1]["train_loss"] <= 2.0
         assert len(result.history) < 200
 
@@ -251,8 +251,8 @@ class TestPredict:
             assert embeddings.shape == (len(mols), 32)
             for row, feat in enumerate(feats):
                 z, m = forward(feat, model)
-                assert np.array_equal(logits[row], z.values[0]), (variant, feat.mol_id)
-                assert np.array_equal(embeddings[row], m.values[0]), (variant, feat.mol_id)
+                assert np.array_equal(logits[row], z.values[0]), (variant, feat.id)
+                assert np.array_equal(embeddings[row], m.values[0]), (variant, feat.id)
             order = rng.permutation(len(feats))
             logits_p, embeddings_p = predict(model, [feats[i] for i in order])
             assert np.array_equal(logits_p, logits[order]), variant
@@ -281,16 +281,16 @@ class TestPredict:
 
 class TestEvaluate:
     def test_reads_only_the_scored_molecules_features(self):
-        # feats[i] belongs to ds.molecules[i]; the bond-free molecule, which
-        # is not scored, has no adjacency features at all
+        # the bond-free molecule, which is not scored, is a row without
+        # adjacency features at all
         rng = np.random.default_rng(6)
         bonded = [random_molecule(rng, f"b{i}", labels={"odd"} if i % 2 else {"even"},
                                   with_bonds=True) for i in range(6)]
-        ds = build_dataset(bonded + [random_molecule(rng, "loose", labels={"odd"})])
+        ds = build_dataset([featurize_molecule(mol, "adjacency-gcn") for mol in bonded]
+                           + [random_molecule(rng, "loose", labels={"odd"})])
         model_cfg = ModelConfig(variant="adjacency-gcn", o=ds.num_descriptors, d=8,
                                 gcn_layers=1, z_max=20)
-        feats = [featurize_molecule(mol, "adjacency-gcn") for mol in bonded] + [None]
-        report = evaluate(MolPecoModel(model_cfg, seed=0), ds, list(range(6)), feats)
+        report = evaluate(MolPecoModel(model_cfg, seed=0), ds, list(range(6)))
         assert len(report.per_descriptor) == ds.num_descriptors
 
     def test_report_covers_all_descriptors(self):
@@ -298,8 +298,8 @@ class TestEvaluate:
         model_cfg = ModelConfig(variant="coulomb-gcn", o=ds.num_descriptors,
                                 d=8, p=4, gcn_layers=1, z_max=20)
         model = MolPecoModel(model_cfg, seed=0)
-        feats = [featurize_molecule(mol, "coulomb-gcn") for mol in ds.molecules]
-        report = evaluate(model, ds, list(range(len(ds))), feats)
+        ds = build_dataset([featurize_molecule(mol, "coulomb-gcn") for mol in ds.molecules])
+        report = evaluate(model, ds, list(range(len(ds))))
         assert len(report.per_descriptor) == ds.num_descriptors
 
     def test_empty_indices_rejected(self):
@@ -307,7 +307,7 @@ class TestEvaluate:
         model_cfg = ModelConfig(variant="coulomb-gcn", o=ds.num_descriptors,
                                 d=8, p=4, gcn_layers=1, z_max=20)
         with pytest.raises(DataError):
-            evaluate(MolPecoModel(model_cfg, seed=0), ds, [], [])
+            evaluate(MolPecoModel(model_cfg, seed=0), ds, [])
 
 
 class TestCheckpointFile:
