@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import os
@@ -326,9 +327,20 @@ def retrieve_neighbors(ids: list[str], vectors: np.ndarray, query_id: str,
     dots = np.einsum("ij,j->i", vectors, vectors[row])
     denom = norms * norms[row]
     sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
-    order = np.lexsort((np.array(ids), -sims))
-    order = order[order != row][:k]
-    return [(ids[i], float(sims[i])) for i in order]
+    k = min(k, len(ids) - 1)
+    if k < 1:
+        return []
+    # only rows at or above the k-th similarity, ties included, can reach
+    # the top k; sorting just those gives the full sort's first k rows
+    keys = -sims
+    keys[row] = np.inf
+    cut = np.partition(keys, k - 1)[k - 1]
+    # not `keys <= cut`: a NaN similarity (overflowed norms) sorts last and
+    # a NaN cut must keep every row
+    candidates = np.flatnonzero(~(keys > cut))
+    candidates = candidates[candidates != row]
+    order = np.lexsort((np.array([ids[i] for i in candidates]), keys[candidates]))
+    return [(ids[i], float(sims[i])) for i in candidates[order[:k]]]
 
 
 def cmd_retrieve(embeddings_path, query_id: str, k: int) -> int:
@@ -360,7 +372,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--patience", type=int, dest="patience")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by every later
+    ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="molpeco",
         description="Multi-label odor descriptor prediction from 3D structure",

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from molpeco.features import CACHE_MAGIC, featurize_molecule
 from molpeco.metrics import METRIC_NAMES
 
 from synthdata import organic_molecule, structure_labeled_set
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -490,6 +494,7 @@ class TestRetrieval:
 
     def test_k_clamped_to_corpus(self):
         assert len(retrieve_neighbors(["a", "b", "c"], np.ones((3, 2)), "a", k=10)) == 2
+        assert retrieve_neighbors(["only"], np.ones((1, 3)), "only", k=5) == []
 
     def test_orthogonal_vectors_zero_similarity(self):
         vectors = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -539,6 +544,61 @@ class TestRetrieval:
             assert names(ranked) == names(expected[:25])
             worst = max(abs(a - b) for (_, a), (_, b) in zip(ranked, expected))
             assert worst <= 8 * np.finfo(np.float64).eps
+
+    @staticmethod
+    def full_sort(ids, vectors, query_id, k):
+        """The ranking as a full sort of every row: the reference the
+        top-k selection must match exactly."""
+        row = ids.index(query_id)
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+        dots = np.einsum("ij,j->i", vectors, vectors[row])
+        denom = norms * norms[row]
+        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
+        order = np.lexsort((np.array(ids), -sims))
+        order = order[order != row][:k]
+        return [(ids[i], float(sims[i])) for i in order]
+
+    def assert_same_ranking(self, ids, vectors, query_id, k):
+        ranked = retrieve_neighbors(ids, vectors, query_id, k)
+        expected = self.full_sort(ids, vectors, query_id, k)
+        # bit-equal, not ==: 0.0 and -0.0 print differently, and NaN != NaN
+        assert [(mol_id, np.float64(sim).tobytes()) for mol_id, sim in ranked] == \
+            [(mol_id, np.float64(sim).tobytes()) for mol_id, sim in expected]
+
+    def test_top_k_matches_full_sort_on_ties(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+            vectors = rng.integers(-2, 3, size=(n, d)).astype(float)
+            vectors[rng.integers(n, size=2)] = 0.0
+            ids = [f"m{i:02d}" for i in rng.permutation(n)]
+            zero_rows = [ids[i] for i in np.flatnonzero(~vectors.any(axis=1))]
+            for query_id in [ids[int(rng.integers(n))], zero_rows[0]]:
+                for k in [1, n - 1, n + 2, int(rng.integers(1, n + 3))]:
+                    self.assert_same_ranking(ids, vectors, query_id, k)
+
+    def test_top_k_matches_full_sort_on_nan_similarities(self):
+        # finite values whose squares overflow give NaN similarities,
+        # which sort after every number
+        vectors = np.array([[1.0, 0.0], [1e200, 1e200], [2.0, 1.0], [0.0, 0.0],
+                            [1e200, -1e200], [1.0, 0.0]])
+        ids = ["q", "huge", "b", "zero", "huge2", "twin"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for query_id in ids:
+                for k in range(1, 8):
+                    self.assert_same_ranking(ids, vectors, query_id, k)
+
+    def test_top_k_matches_full_sort_on_the_benchmark_library(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import corpus
+
+        # 8,503 x 32 clustered rows, 2% of them exact copies of another row
+        ids, vectors = corpus.make_embedding_library(1, 8503, 32, 64, 0.02)
+        _, first, counts = np.unique(vectors, axis=0, return_index=True, return_counts=True)
+        rows = [*first[counts > 1][:10], *range(0, 8503, 850)]
+        for row in rows:
+            for k in [1, 5, 20, 100]:
+                self.assert_same_ranking(ids, vectors, ids[row], k)
 
     def test_read_embeddings_bit_equal_to_float_of_repr(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -673,3 +733,52 @@ class TestEmbeddingCopy:
         write_embeddings(path, self.ROWS + "d,1.0\n")
         assert self.retrieve(path, capsys, code=3) == ""
         assert (tmp_path / "e.csv.bin").read_bytes() == copy
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it: no call
+    may leave state in it that a later call sees."""
+
+    def test_importing_cli_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(1)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import molpeco.cli\n"
+                "print(len(built), molpeco.cli.build_parser.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_calls_in_one_process_share_one_parser(self, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+        _, config_path, _ = workspace
+        path = write_embeddings(tmp_path / "e.csv",
+                                "id,e0,e1\na,1.0,0.0\nb,0.0,1.0\nc,2.0,0.5\nd,1.0,0.0\n")
+        retrieve = ["retrieve", "--embeddings", path, "--query", "a", "--k", "2"]
+        # the same query as the first command of a fresh process
+        proc = subprocess.run([sys.executable, "-m", "molpeco.cli", *map(str, retrieve)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+
+        with pytest.raises(SystemExit) as exc:
+            run_cli("retrieve", "--embeddings", path, "--no-such-flag")
+        assert exc.value.code == 2
+        for _ in range(2):
+            assert run_cli("retrieve", "--embeddings", path, "--query", "a", "--k", "0") == 2
+        parts = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda config, part: parts.append(part) or 0)
+        monkeypatch.setattr(cli, "cmd_embed", lambda config, part: parts.append(part) or 0)
+        assert run_cli("eval", "--config", config_path, "--part", "val") == 0
+        assert run_cli("eval", "--config", config_path) == 0
+        assert run_cli("embed", "--config", config_path) == 0
+        assert parts == ["val", "test", "test"]
+        capsys.readouterr()
+        assert run_cli(*retrieve) == 0
+        assert capsys.readouterr().out == proc.stdout == "1,d,1.0\n2,c,0.9701425001453319\n"
+        assert cli.build_parser() is cli.build_parser()
