@@ -1,15 +1,16 @@
 """Dense tensors with reverse-mode differentiation, plus the model's
-transformer encoder as one op with a hand-written backward.
+transformer encoder and its loss as ops with hand-written backwards.
 
 The ops are the ones the model and its loss run: ``gather_rows`` (atom
 embedding), ``matmul`` and ``transformer_encoder`` (the positional encoder),
-``tensor_sum`` (its pair sum and the loss mean), ``concat_rows``, ``add``,
-``block_matmul`` and ``selu`` (the graph convolutions), ``sum_rows_exact``
-(pooling), ``rowwise_matmul`` (the head), and ``sub``, ``mul``, ``log``,
-``absolute``, ``sigmoid`` and ``log_sigmoid`` (the loss). ``div`` and
-``sqrt`` have no caller yet; with ``sub`` and ``mul`` they are what an
-explicit norm of the positional encoder's output is built from, which
-fixing that output's scale (ROADMAP item 1) may need.
+``tensor_sum`` (its pair sum), ``concat_rows``, ``add``, ``block_matmul``
+and ``selu`` (the graph convolutions), ``sum_rows_exact`` (pooling),
+``rowwise_matmul`` (the head), and ``multilabel_loss`` (the loss, also one
+op with a hand-written backward). ``logistic`` is the plain numpy sigmoid
+that the loss and the reported scores share. ``mul``, ``div`` and ``sqrt``
+have no caller yet; they are what an explicit norm of the positional
+encoder's output is built from, which fixing that output's scale (ROADMAP
+item 1) may need.
 
 Everything runs in double precision. Operations never mutate their inputs;
 ``backward`` accumulates gradients additively into the reachable leaves, so
@@ -112,12 +113,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
     return _node(a.values + b.values, (a, b), grad_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def grad_fn(g):
-        return _unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)
-    return _node(a.values - b.values, (a, b), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -223,24 +218,12 @@ def rowwise_matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), grad_fn)
 
 
-def log(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        return (g / a.values,)
-    return _node(np.log(a.values), (a,), grad_fn)
-
-
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.values)
 
     def grad_fn(g):
         return (g * 0.5 / out,)
     return _node(out, (a,), grad_fn)
-
-
-def absolute(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        return (g * np.sign(a.values),)
-    return _node(np.abs(a.values), (a,), grad_fn)
 
 
 def selu(a: Tensor) -> Tensor:
@@ -257,31 +240,6 @@ def selu(a: Tensor) -> Tensor:
     def grad_fn(g):
         local = SELU_LAMBDA * np.where(av > 0.0, 1.0, SELU_ALPHA * exp_neg)
         return (g * local,)
-    return _node(out, (a,), grad_fn)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
-    av = a.values
-    out = np.empty_like(av)
-    pos = av >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    ez = np.exp(av[~pos])
-    out[~pos] = ez / (1.0 + ez)
-
-    def grad_fn(g):
-        return (g * out * (1.0 - out),)
-    return _node(out, (a,), grad_fn)
-
-
-def log_sigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(z)) = min(z, 0) - log1p(exp(-|z|)), finite for every
-    finite z. Its derivative sigmoid(-z) = exp(out - z) lies in [0, 1]."""
-    av = a.values
-    out = np.minimum(av, 0.0) - np.log1p(np.exp(-np.abs(av)))
-
-    def grad_fn(g):
-        return (g * np.exp(out - av),)
     return _node(out, (a,), grad_fn)
 
 
@@ -470,6 +428,38 @@ def transformer_encoder(x: Tensor, blocks: Sequence[TransformerBlockParams]) -> 
             grads[:0] = block_grads
         return (g.reshape(x.values.shape), *grads)
     return _node(h.reshape(x.values.shape), (x, *tensors), grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# Loss
+# ---------------------------------------------------------------------------
+
+def logistic(z: np.ndarray) -> np.ndarray:
+    """The sigmoid 1 / (1 + exp(-z)) as exp(min(z, 0)) / (1 + exp(-|z|)),
+    which overflows for no z."""
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+
+def multilabel_loss(z: Tensor, targets: np.ndarray, weights: np.ndarray,
+                    eps: float) -> Tensor:
+    """Weighted multi-label loss of logits ``z`` against 0/1 ``targets`` of
+    the same shape as one op: the mean over every entry of w * ((1 - t) z -
+    log sigmoid(z) + |log(sigmoid(z) + eps) - log(t + eps)|), ``weights``
+    broadcast over the last axis. The closed-form backward adds its three
+    terms in the order the chain rule through elementary ops adds them, so
+    its gradients equal that graph's bit for bit."""
+    zv = z.values
+    p = logistic(zv)
+    log_p = np.minimum(zv, 0.0) - np.log1p(np.exp(-np.abs(zv)))
+    ratio = np.log(p + eps) - np.log(targets + eps)
+    scale = 1.0 / zv.size
+    out = (((1.0 - targets) * zv - log_p + np.abs(ratio)) * weights).sum() * scale
+
+    def grad_fn(g):
+        gw = g * scale * weights
+        return (gw * (1.0 - targets) + -gw * np.exp(log_p - zv)
+                + gw * np.sign(ratio) / (p + eps) * p * (1.0 - p),)
+    return _node(out, (z,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

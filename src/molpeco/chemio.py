@@ -39,6 +39,7 @@ _ELEMENT_SYMBOLS = (
 ).split()
 
 SYMBOL_TO_Z = {symbol: z for z, symbol in enumerate(_ELEMENT_SYMBOLS, start=1)}
+_JSON_NUMBERS = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -186,13 +187,12 @@ def _atom_from_record(entry, mol_id: str, line_no: int) -> Atom:
     else:
         raise ParseError(f"line {line_no}: element must be a symbol or integer, "
                          f"got {element!r}")
-    try:
-        position = (float(x), float(y), float(z))
-    except (TypeError, ValueError):
-        raise ParseError(f"line {line_no}: non-numeric coordinates in molecule '{mol_id}'")
+    if not {type(x), type(y), type(z)} <= _JSON_NUMBERS:  # type(): a bool is no number
+        raise ParseError(f"line {line_no}: molecule '{mol_id}': coordinates must be "
+                         f"JSON numbers, got {entry[1:]!r}")
     try:  # Atom checks the atomic number and that the coordinates are finite
-        return Atom(atomic_number, position)
-    except DataError as exc:
+        return Atom(atomic_number, (float(x), float(y), float(z)))
+    except (DataError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ParseError(f"line {line_no}: molecule '{mol_id}': {exc}") from None
 
 
@@ -236,16 +236,19 @@ def parse_molecules(path, max_atoms: int = DEFAULT_MAX_ATOMS) -> Dataset:
             bonds = None
             if record.get("bonds") is not None:
                 raw_bonds = record["bonds"]
-                if not isinstance(raw_bonds, list):
-                    raise ParseError(f"line {line_no}: 'bonds' must be a list of [i, j]")
-                try:
-                    bonds = tuple((int(i), int(j)) for i, j in raw_bonds)
-                except (TypeError, ValueError):
-                    raise ParseError(f"line {line_no}: 'bonds' must be a list of [i, j]")
+                if not isinstance(raw_bonds, list) or not all(
+                        type(b) is list and len(b) == 2 and type(b[0]) is int
+                        and type(b[1]) is int for b in raw_bonds):
+                    raise ParseError(f"line {line_no}: molecule '{mol_id}': 'bonds' must "
+                                     "be a list of [i, j] JSON integers")
+                bonds = tuple(map(tuple, raw_bonds))
             labels = record["labels"]
             if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
                 raise ParseError(f"line {line_no}: 'labels' must be a list of strings")
-            molecules.append(Molecule(mol_id, atoms, bonds, frozenset(labels)))
+            try:  # Molecule checks that each bond joins two of its atoms
+                molecules.append(Molecule(mol_id, atoms, bonds, frozenset(labels)))
+            except DataError as exc:
+                raise ParseError(f"line {line_no}: {exc}") from None
     return build_dataset(molecules)
 
 
@@ -401,6 +404,15 @@ def _repair_label_ratios(targets: np.ndarray, assigned: np.ndarray) -> None:
         current = best_score
 
 
+def check_fractions(fractions: Sequence[float]) -> None:
+    """Raise DataError unless ``fractions`` are three positive numbers that
+    sum to 1."""
+    if len(fractions) != 3 or not all(f > 0 for f in fractions):  # NaN fails f > 0
+        raise DataError(f"fractions must be three positive numbers, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise DataError(f"fractions must sum to 1, got {sum(fractions)!r}")
+
+
 def stratified_split(ds: Dataset, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
                      seed: int = 0) -> Split:
     """Second-order iterative stratification into train/val/test.
@@ -415,10 +427,7 @@ def stratified_split(ds: Dataset, fractions: tuple[float, float, float] = (0.8, 
     n = len(ds)
     if n < 3:
         raise DataError(f"dataset of {n} molecules is too small to split three ways")
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise DataError(f"fractions must be three positive numbers, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"fractions must sum to 1, got {sum(fractions)!r}")
+    check_fractions(fractions)
 
     targets = ds.targets
     sample_keys: list[list[tuple[int, int]]] = []

@@ -10,7 +10,7 @@ import json
 import typing
 from dataclasses import asdict, dataclass, fields
 
-from .chemio import DEFAULT_MAX_ATOMS
+from .chemio import DEFAULT_MAX_ATOMS, check_fractions
 from .errors import DataError, MolpecoError
 from .features import NORMALIZATIONS
 from .model import ModelConfig
@@ -26,8 +26,9 @@ class RunConfig:
     """Every setting of a run. Construction raises UsageError for a value of
     another type than the declared one (a bool is not a number, an int stands
     for a float), for a ``cm_normalization`` not in ``features.NORMALIZATIONS``,
-    for a ``threshold`` outside the open interval (0, 1), and for a value out
-    of the ranges ``ModelConfig`` and ``TrainConfig`` take."""
+    for a ``threshold`` outside the open interval (0, 1), for a ``max_atoms`` or
+    ``min_label_count`` below 1, and for ``fractions`` or any other value out of
+    the ranges ``chemio``, ``ModelConfig`` and ``TrainConfig`` take."""
 
     # paths
     data_path: str = "molecules.jsonl"
@@ -69,7 +70,11 @@ class RunConfig:
         if not 0.0 < self.threshold < 1.0:  # also false for NaN
             raise UsageError(f"'threshold' must lie in (0, 1), where the reported "
                              f"scores lie, got {self.threshold!r}")
+        if min(self.max_atoms, self.min_label_count) < 1:
+            raise UsageError(f"'max_atoms' and 'min_label_count' must be >= 1, got "
+                             f"{self.max_atoms} and {self.min_label_count}")
         try:
+            check_fractions(self.fractions)
             self.model_config(1)
             self.train_config()
         except DataError as exc:

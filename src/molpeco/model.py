@@ -205,8 +205,7 @@ def classify(m: Tensor, model: MolPecoModel) -> Tensor:
 def probabilities(logits: np.ndarray) -> np.ndarray:
     """Reported descriptor scores: sigmoid of the logits, clamped into the
     open interval (0, 1) so saturated outputs tie rather than reach 0 or 1."""
-    p = ad.sigmoid(ad.constant(logits)).values
-    return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return np.clip(ad.logistic(logits), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def forward(feats: MolFeatures | Sequence[MolFeatures],

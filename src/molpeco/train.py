@@ -57,9 +57,10 @@ def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
     with eps = LOSS_EPSILON guarding the log terms.
 
     BCE is evaluated as (1 - t) * z - log sigmoid(z), which stays finite
-    with a bounded gradient however far the logits saturate. The targets
-    are reshaped to the logits' shape, so one molecule's (1, o) logits take
-    a 1D target row.
+    with a bounded gradient however far the logits saturate. The loss is
+    one graph node, ``autodiff.multilabel_loss``. The targets are reshaped
+    to the logits' shape, so one molecule's (1, o) logits take a 1D target
+    row.
     """
     truth = np.asarray(y_true, dtype=np.float64)
     o = cfg.label_weights.shape[0]
@@ -69,15 +70,8 @@ def compute_loss(logits: Tensor, y_true, cfg: LossConfig) -> Tensor:
             f"weights ({o}) must share the descriptor count"
         )
 
-    z = logits
-    truth = truth.reshape(z.values.shape)
-    eps = LOSS_EPSILON
-    bce = ad.sub(ad.mul(ad.constant(1.0 - truth), z), ad.log_sigmoid(z))
-    log_target = ad.constant(np.log(truth + eps))
-    p = ad.sigmoid(z)
-    reg = ad.absolute(ad.sub(ad.log(ad.add(p, ad.constant(eps))), log_target))
-    weighted = ad.mul(ad.add(bce, reg), ad.constant(cfg.label_weights))
-    return ad.mul(weighted.sum(), ad.constant(1.0 / weighted.values.size))
+    return ad.multilabel_loss(logits, truth.reshape(logits.values.shape),
+                              cfg.label_weights, LOSS_EPSILON)
 
 
 class Adam:

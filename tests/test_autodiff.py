@@ -81,10 +81,12 @@ class TestForwardValues:
         assert abs(out.values[1] - 1.0507009873554805) < 1e-15
 
     def test_sigmoid_values(self):
-        out = ad.sigmoid(Tensor([0.0, 50.0, -50.0]))
-        assert out.values[0] == 0.5
-        assert 1.0 - out.values[1] < 1e-20
-        assert out.values[2] < 1e-20
+        with np.errstate(over="raise"):
+            out = ad.logistic(np.array([0.0, 50.0, -50.0, 1e308, -1e308]))
+        assert out[0] == 0.5
+        assert 1.0 - out[1] < 1e-20
+        assert out[2] < 1e-20
+        assert out[3:].tolist() == [1.0, 0.0]
 
 
 class TestBackwardBasics:
@@ -123,7 +125,7 @@ class TestBackwardBasics:
         b_values = rng.normal(size=(3, 3))
         a = Tensor(a_values.copy(), requires_grad=True)
         b = Tensor(b_values.copy(), requires_grad=True)
-        loss = ad.selu(ad.matmul(a, ad.sigmoid(b))).sum()
+        loss = ad.selu(ad.matmul(a, ad.selu(b))).sum()
         ad.backward(loss)
         assert np.array_equal(a.values, a_values)
         assert np.array_equal(b.values, b_values)
@@ -188,17 +190,8 @@ class TestPrimitiveGradients:
     def test_selu_gradient(self):
         check_unary(ad.selu, np.array([-2.0, -1.0, -0.3, 0.4, 1.7]))
 
-    def test_sigmoid_gradient(self):
-        check_unary(ad.sigmoid, np.array([-3.0, -0.5, 0.1, 2.0]))
-
-    def test_log_gradient(self):
-        check_unary(ad.log, np.array([0.2, 0.9, 3.0]))
-
     def test_sqrt_gradient(self):
         check_unary(ad.sqrt, np.array([0.3, 1.0, 4.2]))
-
-    def test_abs_gradient(self):
-        check_unary(ad.absolute, np.array([-1.4, -0.2, 0.7, 2.0]))
 
     def test_sum_rows_exact_gradient(self):
         rng = np.random.default_rng(10)

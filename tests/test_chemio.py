@@ -83,11 +83,23 @@ class TestParseMolecules:
             parse_molecules(path)
 
     @pytest.mark.parametrize("atom", [["H", 0, "nan", 0], ["H", 0, 0, float("inf")],
-                                      [0, 0, 0, 0]])
+                                      [0, 0, 0, 0], ["H", True, 0, 0], ["H", "1.2", 0, 0],
+                                      ["H", 0, None, 0], ["H", 10 ** 400, 0, 0]])
     def test_invalid_atom_names_line_and_molecule(self, tmp_path, atom):
         path = write_jsonl(tmp_path / "m.jsonl", [
             {"id": "ok", "atoms": [["H", 0, 0, 0]], "labels": []},
             {"id": "bad", "atoms": [["C", 1, 1, 1], atom], "labels": []},
+        ])
+        with pytest.raises(ParseError, match="line 2: molecule 'bad'"):
+            parse_molecules(path)
+
+    @pytest.mark.parametrize("bond", [[0, 1.7], [0, "1"], [True, 1], [0, 1.0], [0],
+                                      [0, 1, 1], "01", [0, 2], [1, 1]])
+    def test_invalid_bonds_name_line_and_molecule(self, tmp_path, bond):
+        path = write_jsonl(tmp_path / "m.jsonl", [
+            {"id": "ok", "atoms": [["H", 0, 0, 0]], "bonds": [], "labels": []},
+            {"id": "bad", "atoms": [["C", 1, 1, 1], ["O", 0, 0, 0]],
+             "bonds": [[0, 1], bond], "labels": []},
         ])
         with pytest.raises(ParseError, match="line 2: molecule 'bad'"):
             parse_molecules(path)

@@ -71,6 +71,11 @@ OUT_OF_RANGE = [
     {"threshold": 5.0},
     {"threshold": -1.0},
     {"threshold": float("nan")},
+    {"min_label_count": 0},
+    {"max_atoms": 0},
+    {"fractions": [0.5, 0.6, -0.1]},
+    {"fractions": [0.5, 0.3, 0.3]},                # sums to 1.1
+    {"fractions": [float("nan"), 0.5, 0.5]},
 ]
 
 
@@ -140,6 +145,9 @@ class TestCommandsRefuseBadConfig:
         ({}, ["--epochs", "-1"]),
         ({}, ["--batch-size", "0"]),
         ({"threshold": 5.0}, []),
+        ({}, ["--min-count", "0"]),
+        ({"max_atoms": 0}, []),
+        ({"fractions": [0.5, 0.6, -0.1]}, []),
     ], ids=repr)
     def test_exits_2_and_writes_nothing(self, workspace, command, fault, flags):
         tmp_path, config = workspace

@@ -70,6 +70,11 @@ class TestComputeLoss:
             got = compute_loss(Tensor(logits), truth, cfg).item()
             assert abs(got - expected) <= 1e-12 * abs(expected)
 
+    def test_loss_is_one_graph_node(self):
+        logits = Tensor(np.zeros((2, 3)), requires_grad=True)
+        loss = compute_loss(logits, np.zeros((2, 3)), LossConfig(np.ones(3)))
+        assert loss.parents == (logits,)
+
     def test_shape_mismatch_rejected(self):
         cfg = LossConfig(np.array([0.5, 0.5]))
         with pytest.raises(DataError, match="descriptor count"):
