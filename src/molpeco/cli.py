@@ -10,11 +10,11 @@ configurations reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import io
 import os
+import struct
 import sys
 from collections import Counter
 from dataclasses import asdict, replace
@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chemio
-from .checkpoints import (load_checkpoint, read_arrays, replacing, save_checkpoint,
-                          write_arrays, write_csv)
+from .checkpoints import load_checkpoint, replacing, save_checkpoint, write_csv
 from .config import RunConfig, UsageError, resolve_config
 from .errors import DataError, MolpecoError, NumericError
 from .features import (NORMALIZATIONS, featurize_molecule, read_feature_cache,
@@ -225,52 +224,97 @@ def cmd_embed(config: RunConfig, part: str) -> int:
     return 0
 
 
-EMBEDDINGS_MAGIC = b"MPEM0001"
+EMBEDDINGS_MAGIC = b"MPEM0002"
+# the size of each of the two buffers a hit compares the CSV with
+COMPARE_CHUNK = 1 << 18
 
 
 def read_embeddings(path) -> tuple[list[str], np.ndarray]:
     """The ids and the ``(N, d)`` float64 vectors of an embedding CSV.
 
     A parse that passes every check writes a binary copy, ``<path>.bin``,
-    keyed by the SHA-256 of the CSV's bytes; a later read of the same
-    bytes returns the copy's ids and vectors without parsing. When the
-    copy is missing, stale or unreadable, the CSV is parsed and the copy
-    rewritten; a copy that cannot be written is skipped, since the CSV
-    stays the source of truth.
+    holding the exact CSV bytes it parsed: magic, u64 CSV length, the CSV
+    bytes, u32 rows, u32 width, u64 ids length, the float64 little-endian
+    vectors, then the ids joined by "\\n" in UTF-8 (a CSV id never holds
+    one, since rows split on universal newlines). A later read whose CSV
+    equals those bytes returns the copy's ids and vectors without parsing.
+    When the copy is missing, stale or unreadable, the CSV is parsed and
+    the copy rewritten; a copy that cannot be written is skipped, since
+    the CSV stays the source of truth.
 
     Raises DataError for a file that is not ``id,e0..e{d-1}``, a ragged
     row, a non-numeric or non-finite cell, or an empty or repeated id.
     """
-    # the parse decodes the bytes that were hashed; closing the stream after
-    # decoding frees them before the numbers are parsed
-    with open(path, "rb") as handle:
-        data = io.BytesIO(handle.read())
-    digest = hashlib.sha256(data.getvalue()).hexdigest()
     copy = os.fspath(path) + ".bin"
-    stored = _read_embedding_copy(copy, digest)
-    if stored is not None:
-        return stored
-    ids, vectors = _parse_embeddings(path, data)
-    with contextlib.suppress(OSError):
-        write_arrays(copy, EMBEDDINGS_MAGIC, {"vectors": vectors},
-                     {"csv_sha256": digest, "ids": ids})
-    return ids, vectors
-
-
-def _read_embedding_copy(copy, digest: str) -> tuple[list[str], np.ndarray] | None:
-    """The ``(ids, vectors)`` a binary copy holds for CSV bytes hashing to
-    ``digest``, or None if it is missing, unreadable or for other bytes."""
+    with open(path, "rb") as handle:
+        stored = _read_embedding_copy(copy, handle)
+        if stored is not None:
+            return stored
+        handle.seek(0)
+        # the parse closes this stream once it has decoded the lines, which
+        # frees the bytes before the numbers are parsed if nothing else
+        # holds them
+        data = io.BytesIO(handle.read())
+    parsed = None
     try:
-        header, arrays = read_arrays(copy, EMBEDDINGS_MAGIC, "binary embedding copy")
-    except (OSError, DataError):
+        with replacing(copy, "wb") as out:
+            # the CSV region goes out before the parse frees the bytes
+            out.write(EMBEDDINGS_MAGIC + struct.pack("<Q", len(data.getvalue())))
+            out.write(data.getvalue())
+            parsed = _parse_embeddings(path, data)
+            ids, vectors = parsed
+            joined = "\n".join(ids).encode("utf-8")
+            out.write(struct.pack("<IIQ", *vectors.shape, len(joined)))
+            out.write(np.ascontiguousarray(vectors, dtype="<f8").data)
+            out.write(joined)
+    except OSError:  # the copy is skipped; the parse runs if the failure came first
+        if parsed is None:
+            parsed = _parse_embeddings(path, data)
+    return parsed
+
+
+def _read_embedding_copy(copy, csv) -> tuple[list[str], np.ndarray] | None:
+    """The ``(ids, vectors)`` a binary copy holds for the bytes of the open
+    CSV ``csv``, or None if it is missing, unreadable, malformed or holds
+    other bytes. The CSV is compared chunk by chunk, never held whole."""
+    try:
+        with open(copy, "rb") as stored:
+            head = stored.read(16)
+            if head[:8] != EMBEDDINGS_MAGIC:
+                return None
+            (csv_len,) = struct.unpack("<Q", head[8:])
+            if (csv_len != os.fstat(csv.fileno()).st_size
+                    or not _same_bytes(csv, stored, csv_len)):
+                return None
+            rows, width, ids_len = struct.unpack("<IIQ", stored.read(16))
+            # checked before anything is allocated: a damaged count cannot
+            # ask for more memory than the file holds
+            if os.fstat(stored.fileno()).st_size != 32 + csv_len + 8 * rows * width + ids_len:
+                return None
+            vectors = np.empty((rows, width), dtype="<f8")
+            if stored.readinto(vectors.data) != vectors.nbytes:
+                return None
+            ids = stored.read(ids_len).decode("utf-8").split("\n")
+    except (OSError, struct.error, UnicodeDecodeError):
         return None
-    if not isinstance(header, dict) or header.get("csv_sha256") != digest:
-        return None
-    ids, vectors = header.get("ids"), arrays.get("vectors")
-    if (isinstance(ids, list) and all(isinstance(mol_id, str) for mol_id in ids)
-            and vectors is not None and vectors.ndim == 2 and len(vectors) == len(ids)):
-        return ids, vectors
-    return None
+    return (ids, vectors) if len(ids) == rows else None
+
+
+def _same_bytes(csv, stored, length: int) -> bool:
+    """Whether the rest of ``csv`` is exactly the next ``length`` bytes of
+    ``stored``."""
+    # no larger than the bytes to compare: zeroing unused buffer space
+    # would cost a small file more than its whole comparison
+    size = min(length, COMPARE_CHUNK)
+    mine, theirs = bytearray(size), bytearray(size)
+    while length:
+        if length < size:
+            size = length
+            del mine[size:], theirs[size:]
+        if csv.readinto(mine) != size or stored.readinto(theirs) != size or mine != theirs:
+            return False
+        length -= size
+    return not csv.read(1)
 
 
 def _parse_embeddings(path, data: io.BytesIO) -> tuple[list[str], np.ndarray]:

@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour: artifact generation, exit codes,
 cache validation, and reproducibility."""
 
+import contextlib
 import errno
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -470,7 +472,7 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "molpeco.cli", "featurize", "--config",
              str(config_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0
         assert "featurized" in proc.stdout
@@ -632,6 +634,8 @@ class TestRetrieval:
             read_embeddings(path)
         assert run_cli("retrieve", "--embeddings", path, "--query", "a") == 3
         assert "data error" in capsys.readouterr().err
+        # neither a copy nor its temporary file is left behind
+        assert [p.name for p in tmp_path.iterdir()] == ["e.csv"]
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_usage_error(self, tmp_path, capsys, k):
@@ -646,16 +650,40 @@ class TestRetrieval:
         assert capsys.readouterr().out == "1,c,1.0\n2,b,0.0\n"
 
 
+def copy_layout(csv: bytes, ids, vectors) -> bytes:
+    """The bytes of an ``MPEM0002`` embedding copy, field by field."""
+    joined = "\n".join(ids).encode("utf-8")
+    vectors = np.asarray(vectors, dtype="<f8")
+    return (b"MPEM0002" + struct.pack("<Q", len(csv)) + csv
+            + struct.pack("<IIQ", *vectors.shape, len(joined)) + vectors.tobytes() + joined)
+
+
 class TestEmbeddingCopy:
-    """``<csv>.bin``, the binary copy keyed by the CSV's SHA-256 that
-    answers a re-read of unchanged bytes without parsing them."""
+    """``<csv>.bin``, the binary copy holding the CSV bytes it was parsed
+    from, which answers a re-read of those bytes without parsing them."""
 
     ROWS = "id,e0,e1\na,1.0,0.0\nb,0.0,1.0\nc,2.0,0.5\n"
+    IDS = ["a", "b", "c"]
+    VECTORS = [[1.0, 0.0], [0.0, 1.0], [2.0, 0.5]]
 
     def retrieve(self, path, capsys, code=0):
         assert run_cli("retrieve", "--embeddings", path, "--query", "a", "--k", "2") == code
         assert not list(path.parent.glob("*.tmp"))
         return capsys.readouterr().out
+
+    def fresh(self, csv: bytes, tmp_path, capsys):
+        """The answer and the copy of a first retrieve on ``csv``."""
+        work = tmp_path / "fresh"
+        work.mkdir()
+        path = work / "e.csv"
+        path.write_bytes(csv)
+        return self.retrieve(path, capsys), (work / "e.csv.bin").read_bytes()
+
+    def test_copy_layout(self, tmp_path, capsys):
+        path = write_embeddings(tmp_path / "e.csv", self.ROWS)
+        self.retrieve(path, capsys)
+        assert (tmp_path / "e.csv.bin").read_bytes() == copy_layout(
+            path.read_bytes(), self.IDS, self.VECTORS)
 
     def test_line_ends_are_universal_newlines(self, tmp_path):
         # \r\n and \r end rows, as in a file read in text mode; \x0c and
@@ -667,6 +695,20 @@ class TestEmbeddingCopy:
             assert ids == ["m\x0c1", "m\u20282", "m3"]
             assert vectors.tolist() == [[1.0], [2.0], [3.0]]
 
+    def test_hit_neither_parses_nor_hashes(self, tmp_path, monkeypatch):
+        path = write_embeddings(tmp_path / "e.csv", self.ROWS)
+        ids, vectors = read_embeddings(path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a hit must not parse or hash the CSV")
+
+        monkeypatch.setattr(cli, "_parse_embeddings", forbidden)
+        monkeypatch.setattr(hashlib, "sha256", forbidden)
+        stored_ids, stored = read_embeddings(path)
+        assert stored_ids == ids
+        assert stored.tobytes() == vectors.tobytes() and stored.shape == vectors.shape
+        assert stored.flags.writeable
+
     def test_edit_keeping_size_and_mtime_is_reparsed(self, tmp_path, capsys):
         path = write_embeddings(tmp_path / "e.csv", self.ROWS)
         assert self.retrieve(path, capsys).startswith("1,c,")
@@ -677,48 +719,106 @@ class TestEmbeddingCopy:
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
         assert self.retrieve(path, capsys).startswith("1,b,")
 
-    @pytest.mark.parametrize("damage", ["truncated", "wrong magic", "foreign hash",
-                                        "ids length"])
+    @pytest.mark.parametrize("base, edited", [
+        (ROWS, ROWS[:-1] + "9"),          # only the last byte: c,2.0,0.59
+        (ROWS[:-1], ROWS[:-1] + "1"),     # one byte longer, the old bytes its prefix
+        (ROWS[:-1] + "1", ROWS[:-1]),     # one byte shorter, the new bytes the prefix
+    ], ids=["last byte", "grown", "shrunk"])
+    def test_csv_edit_beside_unchanged_copy_is_reparsed(self, tmp_path, capsys, base, edited):
+        path = write_embeddings(tmp_path / "e.csv", base)
+        before = self.retrieve(path, capsys)
+        copy = (tmp_path / "e.csv.bin").read_bytes()
+        write_embeddings(path, edited)
+        assert (tmp_path / "e.csv.bin").read_bytes() == copy
+        answer, rewritten = self.fresh(path.read_bytes(), tmp_path, capsys)
+        assert answer != before
+        assert self.retrieve(path, capsys) == answer
+        assert (tmp_path / "e.csv.bin").read_bytes() == rewritten
+
+    @staticmethod
+    def damaged_copies(csv: bytes, good: bytes) -> dict:
+        n = len(csv)
+        # regions: magic [0, 8), CSV length [8, 16), CSV [16, 16 + n),
+        # shape [16 + n, 32 + n), vectors [32 + n, 80 + n), ids [80 + n, end)
+        return {
+            "truncated in magic": good[:4],
+            "truncated in csv length": good[:12],
+            "truncated in csv": good[:16 + n // 2],
+            "truncated in shape": good[:24 + n],
+            "truncated in vectors": good[:52 + n],
+            "truncated in ids": good[:-1],
+            # a shape that would ask for about 2**64 doubles
+            "huge shape": (good[:16 + n] + struct.pack("<IIQ", 2**32 - 1, 2**32 - 1, 1)
+                           + good[32 + n:]),
+            "trailing bytes": good + b"\n",
+            "wrong magic": b"MPEM0000" + good[8:],
+            "ids not utf-8": good[:-1] + b"\xff",
+            # read as a hit, these vectors would rank b first
+            "foreign csv": copy_layout(csv.replace(b"b,0.0,1.0", b"b,9.0,1.0"),
+                                       TestEmbeddingCopy.IDS,
+                                       [[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]]),
+            "ids length": copy_layout(csv, ["a", "c"], TestEmbeddingCopy.VECTORS),
+            "too many ids": copy_layout(csv, ["a", "b", "c", "d"], TestEmbeddingCopy.VECTORS),
+        }
+
+    @pytest.mark.parametrize("damage", [
+        "truncated in magic", "truncated in csv length", "truncated in csv",
+        "truncated in shape", "truncated in vectors", "truncated in ids", "huge shape",
+        "trailing bytes",
+        "wrong magic", "ids not utf-8", "foreign csv", "ids length", "too many ids",
+        "MPEM0001 copy"])
     def test_bad_copy_is_reparsed_and_rewritten(self, tmp_path, capsys, damage):
         path = write_embeddings(tmp_path / "e.csv", self.ROWS)
         copy = tmp_path / "e.csv.bin"
         expected = self.retrieve(path, capsys)
         good = copy.read_bytes()
-        header, arrays = read_arrays(copy, cli.EMBEDDINGS_MAGIC, "embedding copy")
-        if damage == "truncated":
-            copy.write_bytes(good[:-1])
-        elif damage == "wrong magic":
-            copy.write_bytes(b"MPEM0000" + good[8:])
-        elif damage == "foreign hash":
-            # read as a hit, these vectors would rank b first
-            vectors = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
-            write_arrays(copy, cli.EMBEDDINGS_MAGIC, {"vectors": vectors},
-                         dict(header, csv_sha256=hashlib.sha256(b"other").hexdigest()))
+        csv = path.read_bytes()
+        if damage == "MPEM0001 copy":
+            # the previous layout, keyed by the SHA-256 of these very bytes
+            write_arrays(copy, b"MPEM0001", {"vectors": np.array(self.VECTORS)},
+                         {"csv_sha256": hashlib.sha256(csv).hexdigest(), "ids": self.IDS})
         else:
-            write_arrays(copy, cli.EMBEDDINGS_MAGIC, arrays, dict(header, ids=["a", "c"]))
+            copy.write_bytes(self.damaged_copies(csv, good)[damage])
         assert self.retrieve(path, capsys) == expected
         assert copy.read_bytes() == good
 
-    def test_failed_copy_write_still_answers(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("room", ["none", "read-only directory", "in the header",
+                                      "in the csv", "after the csv", "in the ids"])
+    def test_failed_copy_write_still_answers(self, tmp_path, capsys, monkeypatch, room):
         path = write_embeddings(tmp_path / "e.csv", self.ROWS)
-        real_write = cli.write_arrays
+        csv = path.read_bytes()
+        good = copy_layout(csv, self.IDS, self.VECTORS)
+        budget = {"none": 0, "in the header": 12, "in the csv": 16 + len(csv) // 2,
+                  "after the csv": 16 + len(csv), "in the ids": len(good) - 1}.get(room)
+        real_replacing = cli.replacing
 
-        def full_disk(*args, **kwargs):
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class FullDisk:
+            """Writes what fits in ``budget`` bytes, then fails."""
 
-        class FailingArray:
-            __array__ = full_disk
+            def __init__(self, handle):
+                self.handle, self.left = handle, budget
 
-        def failing_write(path, magic, arrays, metadata):
-            # the vectors are written, then the disk fills
-            real_write(path, magic, dict(arrays, zz=FailingArray()), metadata)
+            def write(self, data):
+                data = bytes(memoryview(data).cast("B"))
+                self.handle.write(data[:self.left])
+                if len(data) > self.left:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.left -= len(data)
 
-        monkeypatch.setattr(cli, "write_arrays", failing_write)
+        @contextlib.contextmanager
+        def failing_replacing(target, mode="w"):
+            if budget is None:
+                raise PermissionError(errno.EACCES, "Permission denied")
+            with real_replacing(target, mode) as handle:
+                yield FullDisk(handle)
+
+        monkeypatch.setattr(cli, "replacing", failing_replacing)
         unwritten = self.retrieve(path, capsys)
+        assert unwritten == "1,c,0.9701425001453319\n2,b,0.0\n"
         assert not (tmp_path / "e.csv.bin").exists()
         monkeypatch.undo()
         assert self.retrieve(path, capsys) == unwritten
-        assert (tmp_path / "e.csv.bin").is_file()
+        assert (tmp_path / "e.csv.bin").read_bytes() == good
 
     def test_csv_that_is_not_utf8_exits_3_without_a_copy(self, tmp_path, capsys):
         path = tmp_path / "e.csv"
