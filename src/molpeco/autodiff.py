@@ -7,10 +7,9 @@ embedding), ``matmul`` and ``transformer_encoder`` (the positional encoder),
 and ``selu`` (the graph convolutions), ``sum_rows_exact`` (pooling),
 ``rowwise_matmul`` (the head), and ``multilabel_loss`` (the loss, also one
 op with a hand-written backward). ``logistic`` is the plain numpy sigmoid
-that the loss and the reported scores share. ``mul``, ``div`` and ``sqrt``
-have no caller yet; they are what an explicit norm of the positional
-encoder's output is built from, which fixing that output's scale (ROADMAP
-item 1) may need.
+that the loss and the reported scores share. ``mul`` has no caller in the
+model yet; a constant scale on the positional encoder's output, the fix
+ROADMAP item 1 recommends for that output's scale, needs only it.
 
 Everything runs in double precision. Operations never mutate their inputs;
 ``backward`` accumulates gradients additively into the reachable leaves, so
@@ -122,13 +121,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.values * b.values, (a, b), grad_fn)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def grad_fn(g):
-        return (_unbroadcast(g / b.values, a.values.shape),
-                _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape))
-    return _node(a.values / b.values, (a, b), grad_fn)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a 2D or batched ND left factor with a 2D right
     factor shared by every batch entry."""
@@ -216,14 +208,6 @@ def rowwise_matmul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return g @ bv.T, av.T @ g
     return _node(out, (a, b), grad_fn)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.values)
-
-    def grad_fn(g):
-        return (g * 0.5 / out,)
-    return _node(out, (a,), grad_fn)
 
 
 def selu(a: Tensor) -> Tensor:

@@ -11,7 +11,9 @@ array count, then per array sorted by name (so identical contents
 serialize byte-identically): u32 name length + UTF-8 name, u32 ndim, u32
 dims, float64 little-endian payload. ``write_arrays`` also takes an array
 as ``(shape, parts)``, the parts' values in turn, and writes it part by
-part without building it. ``write_csv`` writes every CSV table.
+part without building it. ``read_arrays`` reads each payload once, into a
+read-only array of its own, and never holds the whole file.
+``write_csv`` writes every CSV table.
 """
 
 from __future__ import annotations
@@ -70,44 +72,47 @@ def write_arrays(path, magic: bytes, arrays: dict, metadata: dict) -> None:
 
 
 def read_arrays(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """(header, name -> array) of a file written by ``write_arrays``.
+    """(header, name -> array) of a file written by ``write_arrays``. Each
+    array is read once, straight from the file into aligned memory of its
+    own, and is read-only: the feature cache hands out views of its
+    arrays, and ``MolPecoModel.load_state`` copies a checkpoint's arrays
+    into the model's trainable parameters, which stay writable.
     Raises DataError, naming the file as a ``what``, on a wrong magic, a
     truncated or undecodable file, or bytes after the last array."""
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob[: len(magic)] != magic:
-        raise DataError(f"'{path}' is not a {what} (bad magic {blob[:len(magic)]!r})")
-    offset = len(magic)
+        size = os.fstat(handle.fileno()).st_size
+        found = handle.read(len(magic))
+        if found != magic:
+            raise DataError(f"'{path}' is not a {what} (bad magic {found!r})")
 
-    def take(count: int) -> bytes:
-        nonlocal offset
-        if offset + count > len(blob):
-            raise DataError(f"{what} '{path}' is truncated")
-        chunk = blob[offset:offset + count]
-        offset += count
-        return chunk
-
-    try:
-        (meta_len,) = struct.unpack("<I", take(4))
-        metadata = json.loads(take(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", take(4))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", take(4))
-            name = take(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", take(4))
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            size = math.prod(shape)
-            if offset + 8 * size > len(blob):
+        def take(count: int, into=bytearray):
+            # the count is checked before ``into`` allocates: a damaged
+            # length or dims field cannot ask for more memory than the file holds
+            if count > size - handle.tell():
                 raise DataError(f"{what} '{path}' is truncated")
-            # one copy, straight out of the file's bytes, not through take():
-            # every array owns its memory and is writable
-            arrays[name] = np.frombuffer(blob, "<f8", size, offset).reshape(shape).copy()
-            offset += 8 * size
-    except ValueError as exc:  # undecodable UTF-8 or JSON
-        raise DataError(f"{what} '{path}' is corrupt: {exc}") from exc
-    if offset != len(blob):
-        raise DataError(f"{what} '{path}' has {len(blob) - offset} bytes after its last array")
+            buffer = into(count)
+            if handle.readinto(buffer) != count:
+                raise DataError(f"{what} '{path}' is truncated")
+            return buffer
+
+        try:
+            (meta_len,) = struct.unpack("<I", take(4))
+            metadata = json.loads(take(meta_len).decode("utf-8"))
+            (count,) = struct.unpack("<I", take(4))
+            arrays: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<I", take(4))
+                name = take(name_len).decode("utf-8")
+                (ndim,) = struct.unpack("<I", take(4))
+                shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+                values = take(8 * math.prod(shape), lambda _: np.empty(shape, "<f8"))
+                values.flags.writeable = False
+                arrays[name] = values
+        except ValueError as exc:  # undecodable UTF-8 or JSON
+            raise DataError(f"{what} '{path}' is corrupt: {exc}") from exc
+        if handle.tell() != size:
+            raise DataError(f"{what} '{path}' has {size - handle.tell()} bytes after its "
+                            "last array")
     return metadata, arrays
 
 

@@ -219,11 +219,6 @@ def parse_molecules(path, max_atoms: int = DEFAULT_MAX_ATOMS) -> Dataset:
             mol_id = record["id"]
             if not isinstance(mol_id, str) or not mol_id:
                 raise ParseError(f"line {line_no}: 'id' must be a non-empty string")
-            # ids are written unquoted into embedding CSVs, whose reader
-            # drops '#' lines and splits rows at commas
-            if mol_id.startswith("#") or any(c in mol_id for c in ',"\r\n'):
-                raise ParseError(f"line {line_no}: id {mol_id!r} must not start with '#' "
-                                 "or contain a comma, a double quote or a line break")
             raw_atoms = record["atoms"]
             if not isinstance(raw_atoms, list) or not raw_atoms:
                 raise ParseError(f"line {line_no}: molecule '{mol_id}' needs >= 1 atom")
@@ -245,6 +240,12 @@ def parse_molecules(path, max_atoms: int = DEFAULT_MAX_ATOMS) -> Dataset:
             labels = record["labels"]
             if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
                 raise ParseError(f"line {line_no}: 'labels' must be a list of strings")
+            # ids and labels are written unquoted into the embedding and
+            # report CSVs, whose readers drop '#' lines and split rows at commas
+            for what, text in [("id", mol_id), *(("label", label) for label in labels)]:
+                if not text or text.startswith("#") or any(c in text for c in ',"\r\n'):
+                    raise ParseError(f"line {line_no}: {what} {text!r} must be non-empty, not "
+                                     "start with '#' and hold no comma, double quote or line break")
             try:  # Molecule checks that each bond joins two of its atoms
                 molecules.append(Molecule(mol_id, atoms, bonds, frozenset(labels)))
             except DataError as exc:
@@ -268,7 +269,9 @@ def serialize_molecules(ds: Dataset, path) -> None:
 
 def merge_duplicates(ds: Dataset) -> Dataset:
     """Merge molecules sharing an id: labels become the union of the label
-    sets. Duplicates must carry identical atom lists."""
+    sets. Duplicates must carry identical atom lists and, where both give
+    bonds, the same bonds in any order or orientation; a record without
+    bonds takes the other's."""
     by_id: dict[str, Molecule] = {}
     order: list[str] = []
     for mol in ds.molecules:
@@ -281,6 +284,9 @@ def merge_duplicates(ds: Dataset) -> Dataset:
             raise ConflictError(
                 f"duplicate molecule id '{mol.id}' with differing atom lists"
             )
+        if (seen.bonds is not None and mol.bonds is not None
+                and set(map(frozenset, seen.bonds)) != set(map(frozenset, mol.bonds))):
+            raise ConflictError(f"duplicate molecule id '{mol.id}' with differing bond lists")
         bonds = seen.bonds if seen.bonds is not None else mol.bonds
         by_id[mol.id] = Molecule(mol.id, seen.atoms, bonds, seen.labels | mol.labels)
     return build_dataset([by_id[mol_id] for mol_id in order])
@@ -501,14 +507,17 @@ def save_split(split: Split, path) -> None:
 
 def load_split(path, size: int) -> Split:
     """Read a split file written for a dataset of ``size`` molecules. Its
-    parts must hold integers only and cover range(size) exactly once."""
+    seed must be an integer, and its parts must hold integers only and
+    cover range(size) exactly once."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         split = Split(tuple(payload["train"]), tuple(payload["val"]),
-                      tuple(payload["test"]), int(payload["seed"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                      tuple(payload["test"]), payload["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid split file '{path}': {exc}") from exc
+    if type(split.seed) is not int:
+        raise DataError(f"split file '{path}' holds a seed that is not an integer")
     indices = [i for part in split.parts().values() for i in part]
     if not all(type(i) is int for i in indices):
         raise DataError(f"split file '{path}' holds indices that are not integers")

@@ -323,8 +323,6 @@ def read_feature_cache(path) -> tuple[dict, dict[str, MolFeatures]]:
     if not (np.isfinite(arrays["z"]).all() and np.array_equal(arrays["z"], np.trunc(arrays["z"]))):
         raise fault("has atomic numbers that are not whole numbers")
 
-    for values in arrays.values():
-        values.flags.writeable = False
     kind = header.get("variant", "")
     z_all = arrays["z"].astype(np.int64)
     features: dict[str, MolFeatures] = {}

@@ -130,6 +130,8 @@ class MolPecoModel:
         return {p.name: p.tensor.values.copy() for p in self._params}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Set every parameter to a writable copy of its array in ``state``,
+        which may be read-only, as a loaded checkpoint's arrays are."""
         params = self.param_dict()
         missing = params.keys() - state.keys()
         extra = state.keys() - params.keys()

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,17 +82,37 @@ class TestStrictReads:
         with pytest.raises(DataError, match="1 bytes after its last array"):
             read(path)
 
-    @pytest.mark.parametrize("where", ["header", "name", "payload"])
+    @pytest.mark.parametrize("where", ["header", "name", "payload", "every cut"])
     def test_truncation_rejected(self, written, where):
         path, read = written
         blob = path.read_bytes()
         end = _header_end(blob)
-        cut = {"header": end - 3,
-               "name": end + 4 + 4 + 1,  # count, name length, one name byte
-               "payload": len(blob) - 1}[where]
-        path.write_bytes(blob[:cut])
-        with pytest.raises(DataError, match="truncated"):
-            read(path)
+        cuts = {"header": [end - 3],
+                "name": [end + 4 + 4 + 1],  # count, name length, one name byte
+                "payload": [len(blob) - 1],
+                "every cut": range(1, len(blob))}[where]
+        for cut in cuts:
+            path.write_bytes(blob[:cut])
+            # a cut inside the magic leaves no magic to recognise
+            with pytest.raises(DataError, match="truncated" if cut >= 8 else "bad magic"):
+                read(path)
+
+    def test_dims_beyond_the_file_rejected_before_allocating(self, written):
+        path, read = written
+        blob = bytearray(path.read_bytes())
+        end = _header_end(blob)
+        (name_len,) = struct.unpack_from("<I", blob, end + 4)
+        # the first array's first dim, after the count, its name and its ndim
+        struct.pack_into("<I", blob, end + 4 + 4 + name_len + 4, 2 ** 32 - 1)
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated"):
+                read(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_corrupt_header_rejected(self, written):
         path, read = written
@@ -108,9 +129,9 @@ class TestStrictReads:
             read(path)
 
 
-def test_read_arrays_returns_writable_arrays_that_share_no_memory(tmp_path):
-    # checkpoints load into trainable parameters, and the feature cache
-    # makes its own copies read-only
+def test_read_arrays_returns_read_only_aligned_arrays_that_share_no_memory(tmp_path):
+    # checkpoints load into writable copies (MolPecoModel.load_state), and
+    # the feature cache hands out read-only views
     rng = np.random.default_rng(4)
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=5),
               "empty": np.zeros((0, 2)), "last": rng.normal(size=(2, 2, 2)),
@@ -120,10 +141,32 @@ def test_read_arrays_returns_writable_arrays_that_share_no_memory(tmp_path):
     assert {name: value.tobytes() for name, value in read.items()} == \
         {name: value.tobytes() for name, value in arrays.items()}
     for name, value in read.items():
-        assert value.flags.writeable and value.flags.owndata
+        assert not value.flags.writeable
+        assert value.flags.owndata and value.flags.aligned
         assert value.shape == arrays[name].shape
         for other in read.values():
             assert other is value or not np.shares_memory(value, other)
+
+
+def test_cache_read_holds_each_array_once(tmp_path):
+    # 470 molecules of 30 atoms with spectra: about 7 MB. A read that held
+    # the file's bytes beside the arrays would peak at twice its size.
+    n, count = 30, 470
+    rng = np.random.default_rng(6)
+    arrays = {"matrix": rng.normal(size=count * n * n), "z": np.ones(count * n),
+              "eigenvalues": rng.normal(size=count * n),
+              "eigenvectors": rng.normal(size=count * n * n)}
+    entries = [[f"m{i}", ["x"], n] for i in range(count)]
+    path = tmp_path / "c.bin"
+    write_arrays(path, CACHE_MAGIC, arrays, {"molecules": entries})
+    del arrays
+    tracemalloc.start()
+    try:
+        read_feature_cache(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
 
 
 def test_array_written_in_parts_reads_as_one(tmp_path):

@@ -66,13 +66,19 @@ class TestParseMolecules:
         with pytest.raises(ParseError, match="line 2"):
             parse_molecules(path)
 
-    @pytest.mark.parametrize("mol_id", ["a,b", 'a"b', "a\rb", "a\nb", "#a"])
-    def test_id_that_breaks_the_embedding_csv_rejected(self, tmp_path, mol_id):
+    CSV_BREAKERS = [("id", "a,b"), ("id", 'a"b'), ("id", "a\rb"), ("id", "a\nb"), ("id", "#a"),
+                    ("label", "fruity,sweet"), ("label", 'a"b'), ("label", "a\rb"),
+                    ("label", "a\nb"), ("label", "#a"), ("label", "")]
+
+    @pytest.mark.parametrize("field, value", CSV_BREAKERS,
+                             ids=[v if f == "id" else f"label-{v}" for f, v in CSV_BREAKERS])
+    def test_id_that_breaks_the_embedding_csv_rejected(self, tmp_path, field, value):
+        mol_id, labels = (value, ["fruity"]) if field == "id" else ("m2", ["fruity", value])
         path = write_jsonl(tmp_path / "m.jsonl", [
-            {"id": "ok#1", "atoms": [["H", 0, 0, 0]], "labels": []},
-            {"id": mol_id, "atoms": [["H", 0, 0, 0]], "labels": []},
+            {"id": "ok#1", "atoms": [["H", 0, 0, 0]], "labels": ["a#b"]},
+            {"id": mol_id, "atoms": [["H", 0, 0, 0]], "labels": labels},
         ])
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match=f"line 2: {field} "):
             parse_molecules(path)
 
     def test_unknown_symbol_rejected(self, tmp_path):
@@ -160,6 +166,27 @@ class TestMergeDuplicates:
         ds = build_dataset([self._mol("m1", {"fruity"}), self._mol("m1", {"green"}, x=1.0)])
         with pytest.raises(ConflictError, match="m1"):
             merge_duplicates(ds)
+
+    def _bonded(self, bonds, labels=("fruity",)):
+        atoms = tuple(Atom(6, (float(x), 0.0, 0.0)) for x in range(3))
+        return Molecule("m1", atoms, bonds, frozenset(labels))
+
+    def test_differing_bonds_raise(self):
+        ds = build_dataset([self._bonded(((0, 1),)), self._bonded(((0, 2), (1, 2)))])
+        with pytest.raises(ConflictError, match="m1.*bond"):
+            merge_duplicates(ds)
+
+    def test_same_bonds_in_another_order_or_orientation_merge(self):
+        ds = build_dataset([self._bonded(((0, 1), (1, 2))),
+                            self._bonded(((2, 1), (0, 1)), {"green"})])
+        merged = merge_duplicates(ds)
+        assert merged.molecules[0].bonds == ((0, 1), (1, 2))
+        assert merged.molecules[0].labels == {"fruity", "green"}
+
+    @pytest.mark.parametrize("first, second", [(None, ((0, 1),)), (((0, 1),), None)])
+    def test_record_without_bonds_takes_the_others(self, first, second):
+        merged = merge_duplicates(build_dataset([self._bonded(first), self._bonded(second)]))
+        assert merged.molecules[0].bonds == ((0, 1),)
 
 
 class TestFilterConflicts:
@@ -271,6 +298,14 @@ class TestStratifiedSplit:
         path.write_text(json.dumps({"seed": 0, "train": [0, entry], "val": [2],
                                     "test": [3]}), encoding="utf-8")
         with pytest.raises(DataError, match="not integers"):
+            load_split(path, 4)
+
+    @pytest.mark.parametrize("seed", ["3", 1.5, True])
+    def test_split_file_with_non_integer_seed_rejected(self, tmp_path, seed):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"seed": seed, "train": [0, 1], "val": [2],
+                                    "test": [3]}), encoding="utf-8")
+        with pytest.raises(DataError, match="seed that is not an integer"):
             load_split(path, 4)
 
 
