@@ -1,15 +1,15 @@
 """Dense tensors with reverse-mode differentiation, plus the model's
-transformer encoder and its loss as ops with hand-written backwards.
+positional encoder and its loss as ops with hand-written backwards.
 
 The ops are the ones the model and its loss run: ``gather_rows`` (atom
-embedding), ``matmul`` and ``transformer_encoder`` (the positional encoder),
-``tensor_sum`` (its pair sum), ``concat_rows``, ``add``, ``block_matmul``
-and ``selu`` (the graph convolutions), ``sum_rows_exact`` (pooling),
-``rowwise_matmul`` (the head), and ``multilabel_loss`` (the loss, also one
-op with a hand-written backward). ``logistic`` is the plain numpy sigmoid
-that the loss and the reported scores share. ``mul`` has no caller in the
-model yet; a constant scale on the positional encoder's output, the fix
-ROADMAP item 1 recommends for that output's scale, needs only it.
+embedding), ``positional_encoder`` (a batch's lift, encoder blocks and pair
+sum, one op with a hand-written backward), ``add``, ``block_matmul``,
+``matmul`` and ``selu`` (the graph convolutions), ``sum_rows_exact``
+(pooling), ``rowwise_matmul`` (the head), and ``multilabel_loss`` (the
+loss, also one op with a hand-written backward). ``logistic`` is the plain
+numpy sigmoid that the loss and the reported scores share. ``mul`` and
+``tensor_sum`` have only test callers, which use them to weight and sum an
+op's output.
 
 Everything runs in double precision. Operations never mutate their inputs;
 ``backward`` accumulates gradients additively into the reachable leaves, so
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -54,8 +54,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.values.reshape(-1)[0])
 
-    def sum(self, axis=None) -> "Tensor":
-        return tensor_sum(self, axis=axis)
+    def sum(self) -> "Tensor":
+        return tensor_sum(self)
 
 
 @dataclass
@@ -122,37 +122,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a 2D or batched ND left factor with a 2D right
-    factor shared by every batch entry."""
+    """Matrix product of 2D factors."""
     av, bv = a.values, b.values
-    if av.ndim < 2 or bv.ndim != 2 or av.shape[-1] != bv.shape[0]:
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    k, o = bv.shape
 
     def grad_fn(g):
-        return g @ bv.T, av.reshape(-1, k).T @ g.reshape(-1, o)
+        return g @ bv.T, av.T @ g
     return _node(av @ bv, (a, b), grad_fn)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenation along axis 0; the gradient splits back into the
-    parts' rows."""
-    sizes = [part.values.shape[0] for part in parts]
-
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of every entry."""
     def grad_fn(g):
-        return tuple(_row_blocks(g, sizes))
-    return _node(np.concatenate([part.values for part in parts]), tuple(parts), grad_fn)
-
-
-def tensor_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    """Sum over one axis, or over all of them when ``axis`` is None."""
-    original = a.values.shape
-
-    def grad_fn(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, original).copy(),)
-    return _node(a.values.sum(axis=axis), (a,), grad_fn)
+        return (np.broadcast_to(g, a.values.shape).copy(),)
+    return _node(a.values.sum(), (a,), grad_fn)
 
 
 def _row_blocks(array: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
@@ -280,31 +264,8 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Transformer encoder
+# Positional encoder
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TransformerBlockParams:
-    """Weights of one pre-norm encoder block (single attention head,
-    feed-forward expansion x2)."""
-
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-
 
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``x`` at zero mean and unit variance (of the variance plus
@@ -393,25 +354,42 @@ def _encoder_block_backward(g: np.ndarray, weights: tuple, saved: tuple):
                 (act.T @ g) * SELU_LAMBDA, ones @ g)
 
 
-def transformer_encoder(x: Tensor, blocks: Sequence[TransformerBlockParams]) -> Tensor:
-    """Pre-norm encoder blocks as one op on ``x`` of shape ``(..., m, d)``,
-    whose every m rows form a sequence. The forward is the same arithmetic
-    with or without a graph; with one it keeps what the hand-written
-    backward reads for the gradients of ``x`` and every block weight."""
-    tensors = [getattr(block, f.name) for block in blocks for f in fields(block)]
-    weights = [tuple(getattr(block, f.name).values for f in fields(block)) for block in blocks]
-    saved = [] if _grad_enabled and any(t.requires_grad for t in (x, *tensors)) else None
-    h = x.values.reshape(-1, x.values.shape[-1])
-    for block_weights in weights:
-        h = _encoder_block(h, block_weights, x.values.shape[-2], saved)
+def positional_encoder(pairs: Sequence[np.ndarray], w0: Tensor,
+                       blocks: Sequence[Sequence[Tensor]]) -> Tensor:
+    """A batch's positional encoding as one op. ``pairs`` holds one constant
+    ``(n, k, c)`` array per molecule, the k input pairs of each of its n
+    atoms. Each is lifted by ``@ w0`` to width d, run through the pre-norm
+    encoder ``blocks`` (each the 16 weights ``_encoder_block`` unpacks) with
+    every atom's k rows as one sequence, and summed over the pairs; the
+    molecules' ``(n, d)`` rows are stacked in batch order. The forward is
+    the same arithmetic with or without a graph; with one it keeps what the
+    hand-written backward reads for the gradients of ``w0`` and every block
+    weight, which it adds over the molecules left to right."""
+    tensors = (w0, *(t for block in blocks for t in block))
+    weights = [tuple(t.values for t in block) for block in blocks]
+    saved = [] if _grad_enabled and any(t.requires_grad for t in tensors) else None
+    rows = []
+    for x in pairs:
+        n, k = x.shape[:2]
+        h = (x @ w0.values).reshape(n * k, -1)
+        molecule_saved = None if saved is None else []
+        for block_weights in weights:
+            h = _encoder_block(h, block_weights, k, molecule_saved)
+        rows.append(h.reshape(n, k, -1).sum(axis=-2))
+        if saved is not None:
+            saved.append(molecule_saved)
 
     def grad_fn(g):
-        grads, g = [], g.reshape(h.shape)
-        for block_weights, block_saved in zip(reversed(weights), reversed(saved)):
-            g, block_grads = _encoder_block_backward(g, block_weights, block_saved)
-            grads[:0] = block_grads
-        return (g.reshape(x.values.shape), *grads)
-    return _node(h.reshape(x.values.shape), (x, *tensors), grad_fn)
+        total = None
+        for x, molecule_saved, gm in zip(pairs, saved, _row_blocks(g, [len(x) for x in pairs])):
+            grads, gh = [], np.repeat(gm, x.shape[1], axis=0)
+            for block_weights, block_saved in zip(reversed(weights), reversed(molecule_saved)):
+                gh, block_grads = _encoder_block_backward(gh, block_weights, block_saved)
+                grads[:0] = block_grads
+            grads.insert(0, x.reshape(-1, x.shape[-1]).T @ gh)
+            total = grads if total is None else [a + b for a, b in zip(total, grads)]
+        return tuple(total)
+    return _node(np.concatenate(rows), tensors, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,9 @@ def read_arrays(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarr
     arrays, and ``MolPecoModel.load_state`` copies a checkpoint's arrays
     into the model's trainable parameters, which stay writable.
     Raises DataError, naming the file as a ``what``, on a wrong magic, a
-    truncated or undecodable file, or bytes after the last array."""
+    truncated or undecodable file, array names that are not strictly
+    ascending (as ``write_arrays`` writes them), or bytes after the last
+    array."""
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         found = handle.read(len(magic))
@@ -103,12 +105,15 @@ def read_arrays(path, magic: bytes, what: str) -> tuple[dict, dict[str, np.ndarr
             for _ in range(count):
                 (name_len,) = struct.unpack("<I", take(4))
                 name = take(name_len).decode("utf-8")
+                if arrays and name <= next(reversed(arrays)):
+                    raise ValueError(f"array name '{name}' is not after "
+                                     f"'{next(reversed(arrays))}'")
                 (ndim,) = struct.unpack("<I", take(4))
                 shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
                 values = take(8 * math.prod(shape), lambda _: np.empty(shape, "<f8"))
                 values.flags.writeable = False
                 arrays[name] = values
-        except ValueError as exc:  # undecodable UTF-8 or JSON
+        except ValueError as exc:  # undecodable UTF-8 or JSON, or names out of order
             raise DataError(f"{what} '{path}' is corrupt: {exc}") from exc
         if handle.tell() != size:
             raise DataError(f"{what} '{path}' has {size - handle.tell()} bytes after its "

@@ -50,8 +50,9 @@ class Atom:
     position: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if self.atomic_number < 1:
-            raise DataError(f"atomic number must be >= 1, got {self.atomic_number}")
+        # 2**53: the largest integer the cache's float64 ``z`` field stores exactly
+        if not 1 <= self.atomic_number <= 2 ** 53:
+            raise DataError(f"atomic number must lie in [1, 2**53], got {self.atomic_number}")
         p = self.position
         if len(p) != 3 or not (math.isfinite(p[0]) and math.isfinite(p[1])
                                and math.isfinite(p[2])):

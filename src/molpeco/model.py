@@ -17,12 +17,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor, TransformerBlockParams
+from .autodiff import Parameter, Tensor
 from .errors import DataError, ShapeError
 from .features import MolFeatures, Spectrum, lpe_input
 
 VARIANTS = ("adjacency-gcn", "coulomb-gcn", "mol-peco-sym", "mol-peco-asym")
 LPE_VARIANTS = ("mol-peco-sym", "mol-peco-asym")
+# The 16 weights of one positional encoder block, in the order
+# ``autodiff.positional_encoder`` takes them: name and shape in units of d.
+# A matrix starts Glorot-uniform, a gain at one and a bias at zero.
+LPE_BLOCK_WEIGHTS = (
+    ("ln1.gain", (1,)), ("ln1.bias", (1,)), ("wq", (1, 1)), ("bq", (1,)),
+    ("wk", (1, 1)), ("bk", (1,)), ("wv", (1, 1)), ("bv", (1,)),
+    ("wo", (1, 1)), ("bo", (1,)), ("ln2.gain", (1,)), ("ln2.bias", (1,)),
+    ("ffn.w1", (1, 2)), ("ffn.b1", (2,)), ("ffn.w2", (2, 1)), ("ffn.b2", (1,)),
+)
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,11 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise DataError(f"unknown variant '{self.variant}' (expected one of {VARIANTS})")
-        if min(self.o, self.d, self.p, self.gcn_layers, self.transformer_layers,
-               self.clf_layers, self.z_max) < 1:
+        dims = (self.o, self.d, self.p, self.gcn_layers, self.transformer_layers,
+                self.clf_layers, self.z_max)
+        if any(isinstance(dim, bool) or not isinstance(dim, int) for dim in dims):
+            raise DataError(f"model dimensions and depths must be integers, got {dims}")
+        if min(dims) < 1:
             raise DataError("all model dimensions and depths must be >= 1")
 
     @property
@@ -74,30 +86,17 @@ class MolPecoModel:
             "embed.table", rng.normal(0.0, 1.0 / np.sqrt(d), size=(config.z_max, d)))
 
         self.lpe_w0: Optional[Tensor] = None
-        self.lpe_blocks: list[TransformerBlockParams] = []
+        self.lpe_blocks: list[tuple[Tensor, ...]] = []
         if config.uses_lpe:
             self.lpe_w0 = self._add("lpe.w0", ad.glorot_uniform(rng, (2, d)))
             for layer in range(config.transformer_layers):
-                prefix = f"lpe.block{layer}"
-                block = TransformerBlockParams(
-                    ln1_gain=self._add(f"{prefix}.ln1.gain", np.ones(d)),
-                    ln1_bias=self._add(f"{prefix}.ln1.bias", np.zeros(d)),
-                    wq=self._add(f"{prefix}.wq", ad.glorot_uniform(rng, (d, d))),
-                    bq=self._add(f"{prefix}.bq", np.zeros(d)),
-                    wk=self._add(f"{prefix}.wk", ad.glorot_uniform(rng, (d, d))),
-                    bk=self._add(f"{prefix}.bk", np.zeros(d)),
-                    wv=self._add(f"{prefix}.wv", ad.glorot_uniform(rng, (d, d))),
-                    bv=self._add(f"{prefix}.bv", np.zeros(d)),
-                    wo=self._add(f"{prefix}.wo", ad.glorot_uniform(rng, (d, d))),
-                    bo=self._add(f"{prefix}.bo", np.zeros(d)),
-                    ln2_gain=self._add(f"{prefix}.ln2.gain", np.ones(d)),
-                    ln2_bias=self._add(f"{prefix}.ln2.bias", np.zeros(d)),
-                    ffn_w1=self._add(f"{prefix}.ffn.w1", ad.glorot_uniform(rng, (d, 2 * d))),
-                    ffn_b1=self._add(f"{prefix}.ffn.b1", np.zeros(2 * d)),
-                    ffn_w2=self._add(f"{prefix}.ffn.w2", ad.glorot_uniform(rng, (2 * d, d))),
-                    ffn_b2=self._add(f"{prefix}.ffn.b2", np.zeros(d)),
-                )
-                self.lpe_blocks.append(block)
+                block = []
+                for name, units in LPE_BLOCK_WEIGHTS:
+                    shape = tuple(d * unit for unit in units)
+                    values = (ad.glorot_uniform(rng, shape) if len(shape) == 2
+                              else np.ones(shape) if name.endswith("gain") else np.zeros(shape))
+                    block.append(self._add(f"lpe.block{layer}.{name}", values))
+                self.lpe_blocks.append(tuple(block))
 
         self.gcn_layers: list[GCNLayerParams] = []
         for layer in range(config.gcn_layers):
@@ -164,15 +163,16 @@ def atom_init_embedding(atomic_numbers: np.ndarray, model: MolPecoModel) -> Tens
     return ad.gather_rows(model.embedding_table, z)
 
 
-def lpe_forward(spectrum: Spectrum, model: MolPecoModel) -> Tensor:
-    """Per-atom learned positional encoding from each atom's min(p, n)
-    lowest spectral pairs: linear lift to width d, a transformer over the
-    pairs, then a column sum over the pair axis."""
+def lpe_forward(spectra: Sequence[Spectrum], model: MolPecoModel) -> Tensor:
+    """Learned positional encodings of a batch's atoms, one row per atom
+    and the molecules' rows stacked in batch order, as one graph node. Each
+    atom's min(p, n) lowest spectral pairs are lifted linearly to width d,
+    run through a transformer over the pairs, and summed over the pairs."""
     config = model.config
     if not config.uses_lpe or model.lpe_w0 is None:
         raise DataError(f"variant '{config.variant}' has no positional encoder")
-    h = ad.matmul(ad.constant(lpe_input(spectrum, config.p)), model.lpe_w0)
-    return ad.transformer_encoder(h, model.lpe_blocks).sum(axis=-2)
+    return ad.positional_encoder([lpe_input(spectrum, config.p) for spectrum in spectra],
+                                 model.lpe_w0, model.lpe_blocks)
 
 
 def gcn_forward(matrices: Sequence[np.ndarray], h0: Tensor,
@@ -235,8 +235,7 @@ def forward(feats: MolFeatures | Sequence[MolFeatures],
     h0 = atom_init_embedding(np.concatenate([feat.atomic_numbers for feat in feats]),
                              model)
     if config.uses_lpe:
-        h0 = ad.add(h0, ad.concat_rows([lpe_forward(feat.spectrum, model)
-                                        for feat in feats]))
+        h0 = ad.add(h0, lpe_forward([feat.spectrum for feat in feats], model))
     h = gcn_forward([feat.matrix for feat in feats], h0, model)
     m = sum_pool(h, [feat.matrix.shape[0] for feat in feats])
     return classify(m, model), m

@@ -25,7 +25,7 @@ from molpeco.features import (
     sym_normalized_laplacian,
 )
 from molpeco.metrics import balanced_accuracy, confusion_metrics, pr_auc, roc_auc
-from molpeco.model import ModelConfig, MolPecoModel, forward
+from molpeco.model import LPE_BLOCK_WEIGHTS, ModelConfig, MolPecoModel, forward
 from molpeco.train import LossConfig, TrainConfig, compute_loss, evaluate, train_loop
 
 from synthdata import (
@@ -121,6 +121,9 @@ class TestCriterion2LaplacianSuite:
         assert elapsed < 10.0
 
 
+BLOCK_NAMES = [name for name, _ in LPE_BLOCK_WEIGHTS]
+
+
 def _fd_grad(fn, x, h=1e-5):
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)
@@ -169,12 +172,6 @@ class TestCriterion3GradientChecks:
             worst = max(worst, _max_rel(b.grad, _fd_grad(
                 lambda v: float((a_values @ v).sum()), b_values)))
 
-            batched = rng.normal(size=(3, rows, inner))
-            ab = Tensor(batched, requires_grad=True)
-            ad.backward(ad.matmul(ab, Tensor(b_values)).sum())
-            worst = max(worst, _max_rel(ab.grad, _fd_grad(
-                lambda v: float((v @ b_values).sum()), batched)))
-
             out_weights = rng.normal(size=(rows, cols))
             a = Tensor(a_values, requires_grad=True)
             b = Tensor(b_values, requires_grad=True)
@@ -201,12 +198,6 @@ class TestCriterion3GradientChecks:
             worst = max(worst, _max_rel(x.grad, _fd_grad(
                 lambda v: float((v.sum(axis=0, keepdims=True) * weights[:1]).sum()),
                 x_values)))
-
-            x = Tensor(batched, requires_grad=True)
-            pair_weights = rng.normal(size=(3, inner))
-            ad.backward(ad.mul(x.sum(axis=-2), Tensor(pair_weights)).sum())
-            worst = max(worst, _max_rel(x.grad, _fd_grad(
-                lambda v: float((v.sum(axis=-2) * pair_weights).sum()), batched)))
 
             logits = 4.0 * x_values
             targets = rng.integers(0, 2, size=(rows, cols)).astype(np.float64)
@@ -239,17 +230,35 @@ class TestCriterion3GradientChecks:
             worst = max(worst, _max_rel(table.grad, _fd_grad(
                 lambda v: float((v[idx] * weights).sum()), table.values)))
 
-            extra_values = rng.normal(size=(int(rng.integers(1, 4)), cols))
-            stacked_weights = rng.normal(size=(rows + extra_values.shape[0], cols))
-            x = Tensor(x_values, requires_grad=True)
-            extra = Tensor(extra_values, requires_grad=True)
-            ad.backward(ad.mul(ad.concat_rows([x, extra]), Tensor(stacked_weights)).sum())
-            worst = max(worst, _max_rel(x.grad, _fd_grad(
-                lambda v: float((np.concatenate([v, extra_values]) * stacked_weights).sum()),
-                x_values)))
-            worst = max(worst, _max_rel(extra.grad, _fd_grad(
-                lambda v: float((np.concatenate([x_values, v]) * stacked_weights).sum()),
-                extra_values)))
+            # the positional encoder on two molecules of p = 3 input pairs
+            # per atom, the first with fewer atoms than p, so each atom
+            # feeds min(p, n) pairs: the lift w0 and every weight of a
+            # block of width 4. The key bias has a zero gradient (softmax
+            # ignores a shift shared by all keys), so both of its sides
+            # must be zero to within rounding
+            pairs = [rng.normal(size=(n, min(n, 3), 2))
+                     for n in (int(rng.integers(1, 3)), int(rng.integers(3, 6)))]
+            enc_weights = [rng.normal(size=(2, 4))]
+            for name, units in LPE_BLOCK_WEIGHTS:
+                shape = tuple(4 * unit for unit in units)
+                enc_weights.append(rng.normal(size=shape) / 2.0 if len(shape) == 2
+                                   else rng.uniform(0.5, 1.5, size=shape)
+                                   if name.endswith("gain") else rng.normal(size=shape) / 4.0)
+            enc_out_weights = rng.normal(size=(sum(len(x) for x in pairs), 4))
+            tensors = [Tensor(w, requires_grad=True) for w in enc_weights]
+            ad.backward(ad.mul(ad.positional_encoder(pairs, tensors[0], [tensors[1:]]),
+                               Tensor(enc_out_weights)).sum())
+            for i, (t, name) in enumerate(zip(tensors, ["w0", *BLOCK_NAMES])):
+                def encoded(v, i=i):
+                    values = [Tensor(w) for w in enc_weights]
+                    values[i] = Tensor(v)
+                    out = ad.positional_encoder(pairs, values[0], [values[1:]])
+                    return float((out.values * enc_out_weights).sum())
+                numeric = _fd_grad(encoded, enc_weights[i])
+                if name == "bk":
+                    assert max(np.max(np.abs(numeric)), np.max(np.abs(t.grad))) <= 1e-9
+                else:
+                    worst = max(worst, _max_rel(t.grad, numeric))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-6 and elapsed < 30.0
         report(3, ok, f"primitives: worst rel err {worst:.2e}, {elapsed:.1f}s")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from molpeco import autodiff as ad
-from molpeco.autodiff import Tensor, TransformerBlockParams
+from molpeco.autodiff import Tensor
 from molpeco.errors import ShapeError
+from molpeco.model import LPE_BLOCK_WEIGHTS
 
 FD_STEP = 1e-5
 PRIMITIVE_TOL = 1e-6
@@ -56,9 +57,11 @@ class TestForwardValues:
     def test_matmul_shape_error_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-        # the right factor is 2D, also when the batch dims would match
+        # both factors are 2D, also when the batch dims would match
         with pytest.raises(ShapeError, match=r"\(4, 2, 3\).*\(4, 3, 5\)"):
             ad.matmul(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((4, 3, 5))))
+        with pytest.raises(ShapeError, match=r"\(4, 2, 3\).*\(3, 5\)"):
+            ad.matmul(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((3, 5))))
 
     def test_selu_bit_identical_to_masked_formula(self):
         # the reference is the np.where form of selu and its derivative
@@ -168,18 +171,6 @@ class TestPrimitiveGradients:
         assert_grad_close(b.grad, finite_difference_grad(
             lambda v: float((a_values @ v).sum()), b_values))
 
-    def test_matmul_batched(self):
-        rng = np.random.default_rng(7)
-        a_values = rng.normal(size=(5, 3, 4))
-        w_values = rng.normal(size=(4, 2))
-        a = Tensor(a_values, requires_grad=True)
-        w = Tensor(w_values, requires_grad=True)
-        ad.backward(ad.matmul(a, w).sum())
-        assert_grad_close(a.grad, finite_difference_grad(
-            lambda v: float((v @ w_values).sum()), a_values))
-        assert_grad_close(w.grad, finite_difference_grad(
-            lambda v: float((a_values @ v).sum()), w_values))
-
     def test_selu_gradient(self):
         check_unary(ad.selu, np.array([-2.0, -1.0, -0.3, 0.4, 1.7]))
 
@@ -270,29 +261,29 @@ class TestPrimitiveGradients:
         assert np.array_equal(table.grad.view(np.int64), expected.view(np.int64))
 
     def test_layer_norm_gradient(self):
-        # the layer norms inside the encoder op: input, gain and bias
+        # the layer norms inside the encoder op: lift, gain and bias
         # gradients of both norms of a block
         rng = np.random.default_rng(12)
         block = make_block_params(rng, 4)
         for norm in ("ln1", "ln2"):
-            getattr(block, f"{norm}_gain").values = rng.uniform(0.5, 1.5, size=4)
-            getattr(block, f"{norm}_bias").values = rng.normal(size=4)
+            block[f"{norm}.gain"].values = rng.uniform(0.5, 1.5, size=4)
+            block[f"{norm}.bias"].values = rng.normal(size=4)
         x_values = rng.normal(size=(2, 3, 4))
-        x = Tensor(x_values, requires_grad=True)
-        weights = rng.normal(size=(2, 3, 4))
-        ad.backward(ad.mul(ad.transformer_encoder(x, [block]), Tensor(weights)).sum())
+        w0 = Tensor(np.eye(4), requires_grad=True)
+        weights = rng.normal(size=(2, 4))
+        ad.backward(ad.mul(encode(x_values, [block], w0), Tensor(weights)).sum())
 
-        def loss_at(values):
-            return float((ad.transformer_encoder(Tensor(values), [block]).values
+        def loss_at(w0_values):
+            return float((encode(x_values, [block], Tensor(w0_values)).values
                           * weights).sum())
-        assert_grad_close(x.grad, finite_difference_grad(loss_at, x_values), tol=1e-5)
-        for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
-            param = getattr(block, name)
+        assert_grad_close(w0.grad, finite_difference_grad(loss_at, w0.values), tol=1e-5)
+        for name in ("ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias"):
+            param = block[name]
             base = param.values
 
             def loss_with(values, param=param):
                 param.values = values
-                return loss_at(x_values)
+                return loss_at(np.eye(4))
             numeric = finite_difference_grad(loss_with, base)
             param.values = base
             assert_grad_close(param.grad, numeric, tol=1e-5)
@@ -319,88 +310,101 @@ class TestNoGrad:
         assert np.array_equal(w.grad, np.ones((3, 2)))
 
 
+BLOCK_NAMES = tuple(name for name, _ in LPE_BLOCK_WEIGHTS)
+
+
 def make_block_params(rng, d, zero_outputs=False):
-    def glorot(shape):
-        return Tensor(ad.glorot_uniform(rng, shape), requires_grad=True)
+    """One encoder block's 16 weights by name, initialized as the model
+    initializes them; ``zero_outputs`` zeroes wo and ffn.w2 instead."""
+    block = {}
+    for name, units in LPE_BLOCK_WEIGHTS:
+        shape = tuple(d * unit for unit in units)
+        if len(shape) == 2 and not (zero_outputs and name in ("wo", "ffn.w2")):
+            values = ad.glorot_uniform(rng, shape)
+        else:
+            values = np.ones(shape) if name.endswith("gain") else np.zeros(shape)
+        block[name] = Tensor(values, requires_grad=True)
+    return block
 
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
 
-    return TransformerBlockParams(
-        ln1_gain=Tensor(np.ones(d), requires_grad=True), ln1_bias=zeros(d),
-        wq=glorot((d, d)), bq=zeros(d), wk=glorot((d, d)), bk=zeros(d),
-        wv=glorot((d, d)), bv=zeros(d),
-        wo=zeros(d, d) if zero_outputs else glorot((d, d)), bo=zeros(d),
-        ln2_gain=Tensor(np.ones(d), requires_grad=True), ln2_bias=zeros(d),
-        ffn_w1=glorot((d, 2 * d)), ffn_b1=zeros(2 * d),
-        ffn_w2=zeros(2 * d, d) if zero_outputs else glorot((2 * d, d)),
-        ffn_b2=zeros(d),
-    )
+def encode(x_values, blocks, w0=None):
+    """The encoder op on one molecule whose atoms' lifted pair rows are
+    ``x_values``, shape (n, k, d): the default identity lift reproduces
+    them exactly. Returns the (n, d) sums over each atom's k rows."""
+    w0 = Tensor(np.eye(x_values.shape[-1])) if w0 is None else w0
+    return ad.positional_encoder([x_values], w0,
+                                 [tuple(block[name] for name in BLOCK_NAMES) for block in blocks])
 
 
 class TestSoftmaxAttention:
     # through the encoder op: wo = I and a zero feed-forward output make a
-    # block return x + its attention output
+    # block return x + its attention output, which the op sums over pairs
 
     def test_single_unmasked_row_returns_v(self):
         # a zero ln1 gain makes every row's normalized input its bias, and
         # wv = I makes v = bias + bv exactly; q and k are large and random
         rng = np.random.default_rng(13)
         block = make_block_params(rng, 4, zero_outputs=True)
-        block.wo.values = np.eye(4)
-        block.ln1_gain.values = np.zeros(4)
-        block.ln1_bias.values = rng.normal(size=4)
-        block.wv.values = np.eye(4)
-        block.bv.values = rng.normal(size=4)
-        for t in (block.wq, block.bq, block.wk, block.bk):
-            t.values = 10.0 * rng.normal(size=t.values.shape)
+        block["wo"].values = np.eye(4)
+        block["ln1.gain"].values = np.zeros(4)
+        block["ln1.bias"].values = rng.normal(size=4)
+        block["wv"].values = np.eye(4)
+        block["bv"].values = rng.normal(size=4)
+        for name in ("wq", "bq", "wk", "bk"):
+            block[name].values = 10.0 * rng.normal(size=block[name].values.shape)
         x_values = rng.normal(size=(3, 1, 4))
-        out = ad.transformer_encoder(Tensor(x_values), [block])
-        v = block.ln1_bias.values + block.bv.values
-        np.testing.assert_allclose(out.values, x_values + v, rtol=0, atol=1e-15)
+        out = encode(x_values, [block])
+        v = block["ln1.bias"].values + block["bv"].values
+        np.testing.assert_allclose(out.values, x_values[:, 0] + v, rtol=0, atol=1e-15)
 
     def test_identical_keys_average_v(self):
         rng = np.random.default_rng(14)
         block = make_block_params(rng, 4, zero_outputs=True)
-        block.wo.values = np.eye(4)
-        block.wk.values = np.zeros((4, 4))
-        block.bk.values = rng.normal(size=4)
-        block.bv.values = rng.normal(size=4)
+        block["wo"].values = np.eye(4)
+        block["wk"].values = np.zeros((4, 4))
+        block["bk"].values = rng.normal(size=4)
+        block["bv"].values = rng.normal(size=4)
         x_values = rng.normal(size=(2, 3, 4))
-        out = ad.transformer_encoder(Tensor(x_values), [block])
+        out = encode(x_values, [block])
         centered = x_values - x_values.mean(axis=-1, keepdims=True)
         normalized = centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5)
-        v = normalized @ block.wv.values + block.bv.values
+        v = normalized @ block["wv"].values + block["bv"].values
         expected = x_values + v.mean(axis=-2, keepdims=True)
-        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.values, expected.sum(axis=-2), rtol=0, atol=1e-12)
 
 
-class TestTransformerBlock:
+class TestPositionalEncoder:
     def test_zeroed_projections_give_identity(self):
         rng = np.random.default_rng(17)
         blocks = [make_block_params(rng, 4, zero_outputs=True) for _ in range(2)]
         x_values = rng.normal(size=(3, 5, 4))
-        out = ad.transformer_encoder(Tensor(x_values), blocks)
-        np.testing.assert_allclose(out.values, x_values, rtol=0, atol=1e-15)
+        out = encode(x_values, blocks)
+        np.testing.assert_allclose(out.values, x_values.sum(axis=-2), rtol=0, atol=1e-15)
 
-    def test_output_shape_preserved(self):
+    def test_molecules_stacked_in_batch_order(self):
+        # one (n, d) row block per molecule, each equal bit for bit to the
+        # molecule encoded on its own
         rng = np.random.default_rng(18)
-        params = make_block_params(rng, 8)
-        for shape in ((6, 8), (3, 6, 8)):
-            out = ad.transformer_encoder(Tensor(rng.normal(size=shape)), [params])
-            assert out.values.shape == shape
+        blocks = [tuple(make_block_params(rng, 8).values())]
+        w0 = Tensor(rng.normal(size=(2, 8)))
+        pairs = [rng.normal(size=shape) for shape in ((6, 1, 2), (3, 6, 2), (2, 2, 2))]
+        out = ad.positional_encoder(pairs, w0, blocks)
+        assert out.values.shape == (11, 8)
+        alone = [ad.positional_encoder([x], w0, blocks).values for x in pairs]
+        assert np.array_equal(out.values, np.concatenate(alone))
 
     def test_gradient_through_stacked_blocks(self):
-        # end-to-end check through 4 blocks on 4 rows, d=8
+        # end-to-end check through 4 blocks on one atom of 4 pairs, d=8:
+        # the lift's gradient carries the gradient of the blocks' input
         rng = np.random.default_rng(20)
         d, rows = 8, 4
         blocks = [make_block_params(rng, d) for _ in range(4)]
-        x_values = rng.normal(size=(rows, d))
-        weights = rng.normal(size=(rows, d))
+        x_values = rng.normal(size=(1, rows, d))
+        weights = rng.normal(size=(1, d))
 
         def run(v):
-            return float((ad.transformer_encoder(Tensor(v), blocks).values * weights).sum())
+            return float((encode(x_values, blocks, Tensor(v)).values * weights).sum())
 
-        x = Tensor(x_values, requires_grad=True)
-        ad.backward(ad.mul(ad.transformer_encoder(x, blocks), Tensor(weights)).sum())
-        assert_grad_close(x.grad, finite_difference_grad(run, x_values), tol=1e-4)
+        w0 = Tensor(np.eye(d), requires_grad=True)
+        ad.backward(ad.mul(encode(x_values, blocks, w0), Tensor(weights)).sum())
+        assert_grad_close(w0.grad, finite_difference_grad(run, np.eye(d)), tol=1e-4)

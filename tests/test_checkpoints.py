@@ -114,6 +114,28 @@ class TestStrictReads:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("fault", ["repeated name", "out-of-order name"])
+    def test_names_not_strictly_ascending_rejected(self, written, fault):
+        # the second array takes the first one's name, or the two swap
+        # names; a reader keeping the last of two equal names would load
+        # fewer arrays than the count field says
+        path, read = written
+        blob = path.read_bytes()
+        offset, names = _header_end(blob) + 4, []
+        for _ in range(2):
+            (name_len,) = struct.unpack_from("<I", blob, offset)
+            names.append((offset, blob[offset:offset + 4 + name_len]))
+            offset += 4 + name_len
+            (ndim,) = struct.unpack_from("<I", blob, offset)
+            shape = struct.unpack_from(f"<{ndim}I", blob, offset + 4)
+            offset += 4 + 4 * ndim + 8 * int(np.prod(shape))
+        (first_at, first), (second_at, second) = names
+        renamed = (first, first) if fault == "repeated name" else (second, first)
+        path.write_bytes(blob[:first_at] + renamed[0] + blob[first_at + len(first):second_at]
+                         + renamed[1] + blob[second_at + len(second):])
+        with pytest.raises(DataError, match="corrupt"):
+            read(path)
+
     def test_corrupt_header_rejected(self, written):
         path, read = written
         blob = bytearray(path.read_bytes())

@@ -90,7 +90,8 @@ class TestParseMolecules:
 
     @pytest.mark.parametrize("atom", [["H", 0, "nan", 0], ["H", 0, 0, float("inf")],
                                       [0, 0, 0, 0], ["H", True, 0, 0], ["H", "1.2", 0, 0],
-                                      ["H", 0, None, 0], ["H", 10 ** 400, 0, 0]])
+                                      ["H", 0, None, 0], ["H", 10 ** 400, 0, 0],
+                                      [10 ** 21, 0, 0, 0]])
     def test_invalid_atom_names_line_and_molecule(self, tmp_path, atom):
         path = write_jsonl(tmp_path / "m.jsonl", [
             {"id": "ok", "atoms": [["H", 0, 0, 0]], "labels": []},

@@ -328,25 +328,33 @@ class TestExitCodes:
             assert "does not record which dataset file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["unknown model_config key", "no model_config",
-                                       "header not an object"])
+                                       "header not an object", "float d", "infinite o",
+                                       "string p"])
     def test_bad_checkpoint_metadata_is_data_error(self, workspace, capsys, fault):
         tmp_path, config_path, _ = workspace
         for command in ("featurize", "split", "train"):
             assert run_cli(command, "--config", config_path) == 0
         checkpoint = tmp_path / "out" / "checkpoint.bin"
         metadata, state = load_checkpoint(checkpoint)
+        dimensions = {"float d": ("d", 32.5), "infinite o": ("o", 1e400), "string p": ("p", "20")}
         if fault == "unknown model_config key":
             # as in checkpoints written while the model config held the normalization
             metadata["model_config"]["cm_normalization"] = "frobenius"
         elif fault == "no model_config":
             del metadata["model_config"]
+        elif fault in dimensions:
+            field, value = dimensions[fault]
+            metadata["model_config"][field] = value
         else:
             metadata = list(metadata)
         save_checkpoint(checkpoint, state, metadata)
         capsys.readouterr()
         for command in (["eval", "--part", "val"], ["embed", "--part", "val"]):
             assert run_cli(*command, "--config", config_path) == 3
-            assert "re-run train" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "re-run train" in err
+            # a dimension of the wrong type is named, not left to a failed comparison
+            assert fault not in dimensions or "must be integers" in err
 
     @pytest.mark.parametrize("variant", ["coulomb-gcn", "mol-peco-asym"])
     def test_empty_dataset_featurizes_to_an_empty_cache(self, tmp_path, variant):

@@ -2,7 +2,6 @@
 the end-to-end gradient check."""
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from molpeco.chemio import Atom, Molecule
 from molpeco.errors import DataError
 from molpeco.features import featurize_molecule, lpe_input
 from molpeco.model import (
+    LPE_BLOCK_WEIGHTS,
     ModelConfig,
     MolPecoModel,
     atom_init_embedding,
@@ -67,12 +67,12 @@ class TestLPEForward:
     def test_zeroed_weights_give_zero_encoding(self):
         model = MolPecoModel(small_config(), seed=0)
         model.lpe_w0.values = np.zeros_like(model.lpe_w0.values)
-        out = lpe_forward(self._spectrum(), model)
+        out = lpe_forward([self._spectrum()], model)
         assert np.array_equal(out.values, np.zeros((4, 8)))
 
     def test_single_atom_molecule(self):
         model = MolPecoModel(small_config(), seed=0)
-        out = lpe_forward(self._spectrum(n=1), model)
+        out = lpe_forward([self._spectrum(n=1)], model)
         assert out.values.shape == (1, 8)
         assert np.all(np.isfinite(out.values))
 
@@ -84,8 +84,8 @@ class TestLPEForward:
         flipped_vectors = spec.eigenvectors.copy()
         flipped_vectors[:, 1] = -flipped_vectors[:, 1]
         flipped = type(spec)(spec.eigenvalues, flipped_vectors)
-        out = lpe_forward(spec, model)
-        out_flipped = lpe_forward(flipped, model)
+        out = lpe_forward([spec], model)
+        out_flipped = lpe_forward([flipped], model)
         assert np.max(np.abs(out.values - out_flipped.values)) > 1e-6
 
 
@@ -100,13 +100,25 @@ class TestLPEForward:
             outs = []
             for p in (n, n + 1, 20, 64):
                 config = small_config("mol-peco-asym", d=32, p=p, transformer_layers=2)
-                outs.append(lpe_forward(spec, MolPecoModel(config, seed=0)).values)
+                outs.append(lpe_forward([spec], MolPecoModel(config, seed=0)).values)
             for out in outs[1:]:
                 assert np.array_equal(out, outs[0]), n
 
+    def test_batch_is_one_graph_node(self):
+        # the lift, the encoder blocks, the pair sums and the stacking of a
+        # batch's rows are one node, whose parents are the encoder's weights
+        config = small_config(transformer_layers=2)
+        model = MolPecoModel(config, seed=0)
+        spectra = [self._spectrum(seed=1, n=5), self._spectrum(seed=2, n=2)]
+        out = lpe_forward(spectra, model)
+        assert out.values.shape == (7, 8)
+        weights = [p.tensor for p in model.parameters() if p.name.startswith("lpe.")]
+        assert len(weights) == 1 + 16 * config.transformer_layers
+        assert [id(t) for t in out.parents] == [id(t) for t in weights]
+
     def test_encoder_gradient_at_real_size(self):
         # default config (p = 20, d = 32, 4 blocks) on a 40-atom molecule:
-        # for the lifted input and each of the 64 block weights, the
+        # for the lift w0 and each of the 64 block weights, the
         # directional derivative along a random unit direction against a
         # central difference, at criterion 3's bound. The weights are
         # perturbed off their initial gains of 1 and biases of 0, and the
@@ -117,17 +129,17 @@ class TestLPEForward:
         spec = featurize_molecule(organic_molecule(rng, "m", 40), "mol-peco-asym").spectrum
         config = ModelConfig(variant="mol-peco-asym", o=4)
         model = MolPecoModel(config, seed=1)
-        weights = [getattr(block, f.name) for block in model.lpe_blocks for f in fields(block)]
-        for t in weights:
+        weights = [model.lpe_w0] + [t for block in model.lpe_blocks for t in block]
+        for t in weights[1:]:
             t.values = t.values + rng.normal(scale=0.1, size=t.values.shape)
-        x = Tensor(lpe_input(spec, config.p) @ model.lpe_w0.values, requires_grad=True)
-        assert x.values.shape == (40, 20, 32)
-        out_weights = rng.normal(size=x.values.shape) / math.sqrt(x.values.size)
-        ad.backward(ad.mul(ad.transformer_encoder(x, model.lpe_blocks),
-                           Tensor(out_weights)).sum())
+        out = lpe_forward([spec], model)
+        assert out.values.shape == (40, 32)
+        out_weights = rng.normal(size=out.values.shape) / (math.sqrt(out.values.size) * config.p)
+        ad.backward(ad.mul(out, Tensor(out_weights)).sum())
         h = 1e-5
-        key_biases = {id(block.bk) for block in model.lpe_blocks}
-        for t in [x] + weights:
+        bk = [name for name, _ in LPE_BLOCK_WEIGHTS].index("bk")
+        key_biases = {id(block[bk]) for block in model.lpe_blocks}
+        for t in weights:
             direction = rng.normal(size=t.values.shape)
             direction /= np.linalg.norm(direction)
             analytic = float((t.grad * direction).sum())
@@ -136,7 +148,7 @@ class TestLPEForward:
             for sign in (1.0, -1.0):
                 t.values = base + sign * h * direction
                 with ad.no_grad():
-                    out = ad.transformer_encoder(Tensor(x.values), model.lpe_blocks)
+                    out = lpe_forward([spec], model)
                 sides.append(float((out.values * out_weights).sum()))
             t.values = base
             numeric = (sides[0] - sides[1]) / (2 * h)
