@@ -4,9 +4,10 @@ positional encoder and its loss as ops with hand-written backwards.
 The ops are the ones the model and its loss run: ``gather_rows`` (atom
 embedding), ``positional_encoder`` (a batch's lift, encoder blocks and pair
 sum, one op with a hand-written backward), ``add``, ``block_matmul``,
-``matmul`` and ``selu`` (the graph convolutions), ``sum_rows_exact``
-(pooling), ``rowwise_matmul`` (the head), and ``multilabel_loss`` (the
-loss, also one op with a hand-written backward). ``logistic`` is the plain
+``matmul`` and ``selu`` (the graph convolutions), ``segment_sum``
+(pooling, one ``np.add.reduceat``), ``rowwise_matmul`` (the head, one
+stacked product of one-row factors), and ``multilabel_loss`` (the loss,
+also one op with a hand-written backward). ``logistic`` is the plain
 numpy sigmoid that the loss and the reported scores share. ``mul`` and
 ``tensor_sum`` have only test callers, which use them to weight and sum an
 op's output.
@@ -66,11 +67,6 @@ class Parameter:
     tensor: Tensor
 
 
-def constant(values) -> Tensor:
-    """A tensor outside the differentiation graph."""
-    return Tensor(values, requires_grad=False)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcast to produce it."""
     if grad.shape == shape:
@@ -122,14 +118,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2D factors."""
+    """Matrix product of 2D factors. A one-row left factor is multiplied as
+    the first row of a two-row product: numpy sends a single row to a
+    vector kernel that rounds differently from the matrix kernel its rows
+    get inside any longer factor."""
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
+    out = (np.concatenate([av, av]) @ bv)[:1] if len(av) == 1 else av @ bv
 
     def grad_fn(g):
         return g @ bv.T, av.T @ g
-    return _node(av @ bv, (a, b), grad_fn)
+    return _node(out, (a, b), grad_fn)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -145,17 +145,15 @@ def _row_blocks(array: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
     return [array[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
 
 
-def sum_rows_exact(a: Tensor, sizes: Sequence[int]) -> Tensor:
+def segment_sum(a: Tensor, sizes: Sequence[int]) -> Tensor:
     """Column sums over consecutive row segments of a 2D tensor, one output
-    row per segment, ``sizes`` giving the segments' row counts. Each column
-    of a segment is summed in sorted order, so a segment's sum is
-    bit-identical under any reordering of its rows."""
+    row per segment, ``sizes`` giving the segments' row counts (each at
+    least 1). Each segment is summed in row order, as it would be alone."""
     av = a.values
-    if av.ndim != 2 or sum(sizes) != av.shape[0]:
-        raise ShapeError(f"sum_rows_exact expects a 2D tensor of {sum(sizes)} rows, "
-                         f"got {av.shape}")
-    out = np.stack([np.sort(segment, axis=0).sum(axis=0)
-                    for segment in _row_blocks(av, sizes)])
+    if av.ndim != 2 or sum(sizes) != av.shape[0] or min(sizes, default=0) < 1:
+        raise ShapeError(f"segment_sum expects a 2D tensor of {sum(sizes)} rows in "
+                         f"segments of at least 1, got {av.shape} in {list(sizes)}")
+    out = np.add.reduceat(av, np.cumsum([0, *sizes[:-1]]), axis=0)
 
     def grad_fn(g):
         return (np.repeat(g, sizes, axis=0),)
@@ -179,19 +177,17 @@ def block_matmul(mats: Sequence[np.ndarray], h: Tensor) -> Tensor:
 
 
 def rowwise_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for 2D factors, computed as one ``(1, k) @ (k, o)`` product
-    per row of ``a``. A product over many rows may round differently from
-    a single row's, so this keeps every row independent of its batch."""
+    """``a @ b`` for 2D factors, computed as a stack of ``(1, k) @ (k, o)``
+    products, one per row of ``a``, in one call. A product over many rows
+    may round differently from a single row's, so this keeps every row
+    independent of its batch."""
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"rowwise_matmul shape mismatch: {av.shape} @ {bv.shape}")
-    out = np.empty((av.shape[0], bv.shape[1]))
-    for i in range(av.shape[0]):
-        out[i:i + 1] = av[i:i + 1] @ bv
 
     def grad_fn(g):
         return g @ bv.T, av.T @ g
-    return _node(out, (a, b), grad_fn)
+    return _node((av[:, None, :] @ bv)[:, 0, :], (a, b), grad_fn)
 
 
 def selu(a: Tensor) -> Tensor:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoints import read_arrays, write_arrays
 from .chemio import Molecule
-from .errors import ConvergenceError, DataError, GeometryError, ShapeError
+from .errors import ConvergenceError, DataError, GeometryError, NumericError, ShapeError
 
 BOHR_PER_ANGSTROM = 1.8897259886
 NORM_EPSILON = 1e-9
@@ -137,7 +137,7 @@ def _degrees_checked(x: np.ndarray) -> np.ndarray:
     if np.any(degrees <= 0.0):
         isolated = int(np.argmax(degrees <= 0.0))
         raise DataError(
-            f"node {isolated} has non-positive degree {degrees[isolated]!r}; "
+            f"node {isolated} has non-positive degree {float(degrees[isolated])!r}; "
             "normalized Laplacians need strictly positive degrees"
         )
     return degrees
@@ -254,10 +254,13 @@ def featurize_molecule(mol: Molecule, variant: str,
     matrix = normalize(coulomb_matrix(mol), normalization)
     if variant == "coulomb-gcn":
         return MolFeatures(mol.id, variant, z, matrix, mol.labels)
-    if variant == "mol-peco-sym":
-        spectrum = eig_symmetric(sym_normalized_laplacian(matrix))
-    else:
-        spectrum = asym_normalized_laplacian(matrix)
+    try:
+        if variant == "mol-peco-sym":
+            spectrum = eig_symmetric(sym_normalized_laplacian(matrix))
+        else:
+            spectrum = asym_normalized_laplacian(matrix)
+    except (DataError, NumericError) as exc:
+        raise type(exc)(f"molecule '{mol.id}': {exc}") from exc
     return MolFeatures(mol.id, variant, z, matrix, mol.labels, spectrum)
 
 

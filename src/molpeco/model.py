@@ -66,12 +66,6 @@ class ModelConfig:
         return cls(**payload)
 
 
-@dataclass
-class GCNLayerParams:
-    w_graph: Tensor
-    w_linear: Tensor
-
-
 class MolPecoModel:
     """All trainable weights of one variant, created in a fixed order from
     a seeded generator so identical seeds give identical models."""
@@ -98,11 +92,11 @@ class MolPecoModel:
                     block.append(self._add(f"lpe.block{layer}.{name}", values))
                 self.lpe_blocks.append(tuple(block))
 
-        self.gcn_layers: list[GCNLayerParams] = []
+        self.gcn_layers: list[tuple[Tensor, Tensor]] = []
         for layer in range(config.gcn_layers):
-            self.gcn_layers.append(GCNLayerParams(
-                w_graph=self._add(f"gcn.{layer}.w_graph", ad.glorot_uniform(rng, (d, d))),
-                w_linear=self._add(f"gcn.{layer}.w_linear", ad.glorot_uniform(rng, (d, d))),
+            self.gcn_layers.append((
+                self._add(f"gcn.{layer}.w_graph", ad.glorot_uniform(rng, (d, d))),
+                self._add(f"gcn.{layer}.w_linear", ad.glorot_uniform(rng, (d, d))),
             ))
 
         self.head_hidden: list[tuple[Tensor, Tensor]] = []
@@ -182,17 +176,17 @@ def gcn_forward(matrices: Sequence[np.ndarray], h0: Tensor,
     H_l = SELU(X H_{l-1} W_graph) + H_{l-1} W_linear, with X the
     block-diagonal matrix of the molecules' matrices."""
     h = h0
-    for layer in model.gcn_layers:
-        h = ad.add(ad.selu(ad.matmul(ad.block_matmul(matrices, h), layer.w_graph)),
-                   ad.matmul(h, layer.w_linear))
+    for w_graph, w_linear in model.gcn_layers:
+        h = ad.add(ad.selu(ad.matmul(ad.block_matmul(matrices, h), w_graph)),
+                   ad.matmul(h, w_linear))
     return h
 
 
 def sum_pool(h: Tensor, sizes: Sequence[int]) -> Tensor:
-    """Molecule embeddings, one row per molecule of ``sizes`` atoms:
-    order-independent column sums of its atom rows, hence bit-identical
-    under atom reordering."""
-    return ad.sum_rows_exact(h, sizes)
+    """Molecule embeddings, one row per molecule of ``sizes`` atoms: the
+    column sums of its atom rows, each molecule summed as it would be
+    alone."""
+    return ad.segment_sum(h, sizes)
 
 
 def classify(m: Tensor, model: MolPecoModel) -> Tensor:

@@ -202,7 +202,7 @@ def train_loop(dataset: Dataset, split: Split, model_cfg: ModelConfig,
 
         train_loss = epoch_loss_sum / order.shape[0]
         val_logits, _ = predict(model, val_feats)
-        val_loss = compute_loss(ad.constant(val_logits), val_targets, loss_cfg).item()
+        val_loss = compute_loss(Tensor(val_logits), val_targets, loss_cfg).item()
         val_auroc = macro_auroc(probabilities(val_logits), val_targets)
         result.history.append({"epoch": epoch, "train_loss": train_loss,
                                "val_loss": val_loss, "val_auroc": val_auroc})

@@ -193,7 +193,7 @@ class TestCriterion3GradientChecks:
                     * block_weights).sum()), stacked)))
 
             x = Tensor(x_values, requires_grad=True)
-            ad.backward(ad.mul(ad.sum_rows_exact(x, [x_values.shape[0]]),
+            ad.backward(ad.mul(ad.segment_sum(x, [x_values.shape[0]]),
                                Tensor(weights[:1])).sum())
             worst = max(worst, _max_rel(x.grad, _fd_grad(
                 lambda v: float((v.sum(axis=0, keepdims=True) * weights[:1]).sum()),

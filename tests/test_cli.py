@@ -276,6 +276,22 @@ class TestExitCodes:
         assert run_cli("featurize", "--data", data,
                        "--cache", tmp_path / "c.bin") == 3
 
+    def test_laplacian_failure_names_the_molecule(self, tmp_path, capsys):
+        # min-max normalization maps a one-atom Coulomb matrix to [[0]],
+        # a node of degree zero, which the normalized Laplacian rejects
+        data = tmp_path / "lone.jsonl"
+        data.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"id": "water", "atoms": [["O", 0, 0, 0], ["H", 0.96, 0, 0], ["H", -0.24, 0.93, 0]],
+             "labels": ["x"]},
+            {"id": "lone-xenon", "atoms": [["Xe", 0, 0, 0]], "labels": ["x"]},
+        )), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("featurize", "--data", data, "--cache", tmp_path / "c.bin",
+                       "--variant", "mol-peco-asym", "--normalization", "minmax") == 3
+        err = capsys.readouterr().err
+        assert "molecule 'lone-xenon': " in err and "degree 0.0" in err
+        assert "np.float64" not in err
+
     @pytest.mark.parametrize("magic", [b"MPEC0002", b"MPEC0003", b"MPEC0004"])
     def test_cache_in_previous_layout_is_data_error(self, workspace, capsys, magic):
         tmp_path, config_path, _ = workspace

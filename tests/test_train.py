@@ -9,7 +9,7 @@ import pytest
 from molpeco import autodiff as ad
 from molpeco.autodiff import Parameter, Tensor
 from molpeco.checkpoints import load_checkpoint, save_checkpoint, write_csv
-from molpeco.chemio import build_dataset, stratified_split
+from molpeco.chemio import Atom, Molecule, build_dataset, stratified_split
 from molpeco.errors import DataError, NumericError
 from molpeco.features import featurize_molecule
 from molpeco.model import ModelConfig, MolPecoModel, forward
@@ -243,10 +243,12 @@ class TestTrainLoop:
 class TestPredict:
     def test_rows_equal_per_molecule_forward(self):
         # a molecule's rows are bit-identical alone, in a batch of mixed
-        # sizes, and in any batch order
+        # sizes, and in any batch order; alone, the one-atom molecule makes
+        # every GCN weight product a one-row product
         rng = np.random.default_rng(15)
         mols = [random_molecule(rng, "two", n_atoms=2, with_bonds=True),
-                random_molecule(rng, "three", n_atoms=3, with_bonds=True)]
+                random_molecule(rng, "three", n_atoms=3, with_bonds=True),
+                Molecule("xe", (Atom(54, (0.0, 0.0, 0.0)),), bonds=())]
         mols += [organic_molecule(rng, f"m{n}", n) for n in (7, 12, 25, 40, 5, 18)]
         for variant in ("adjacency-gcn", "coulomb-gcn", "mol-peco-sym", "mol-peco-asym"):
             model = MolPecoModel(ModelConfig(variant=variant, o=5), seed=2)
