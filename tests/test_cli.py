@@ -6,6 +6,7 @@ import errno
 import hashlib
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -906,3 +907,53 @@ class TestParserReuse:
         assert run_cli(*retrieve) == 0
         assert capsys.readouterr().out == proc.stdout == "1,d,1.0\n2,c,0.9701425001453319\n"
         assert cli.build_parser() is cli.build_parser()
+
+
+class TestFreedMemory:
+    """``main`` raises glibc's mmap and trim thresholds once per process, so
+    batch-sized temporaries reuse freed heap instead of faulting in pages."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc thresholds")
+    def test_freed_arrays_are_reused_without_page_faults(self, tmp_path):
+        path = write_embeddings(tmp_path / "e.csv", "id,e0,e1\na,1.0,0.0\nb,0.0,1.0\n")
+        # a fresh interpreter: earlier tests in this one may have raised the thresholds
+        code = ("import contextlib, io, resource, sys\n"
+                "import numpy as np\n"
+                "from molpeco import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(sys.argv[1:]) == 0\n"
+                "def churn():\n"
+                "    arrays = [np.ones(65536) for _ in range(4)]\n"
+                "    del arrays\n"
+                "churn()  # the heap grows to hold them once\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for _ in range(200):\n"
+                "    churn()\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        proc = subprocess.run([sys.executable, "-c", code, "retrieve", "--embeddings",
+                               str(path), "--query", "a", "--k", "1"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
+
+    @pytest.mark.parametrize("load", ["no library", "no mallopt", "mallopt fails"])
+    def test_allocator_fallbacks_are_quiet(self, load, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        class Library:
+            def __init__(self, name):
+                if load == "no library":
+                    raise OSError("cannot load the C library")
+                if load == "mallopt fails":
+                    self.mallopt = lambda param, value: calls.append((param, value)) or 0
+
+        path = write_embeddings(tmp_path / "e.csv", "id,e0,e1\na,1.0,0.0\nb,0.0,1.0\n")
+        monkeypatch.setattr(cli.ctypes, "CDLL", Library)
+        cli.keep_freed_memory.cache_clear()
+        try:
+            assert run_cli("retrieve", "--embeddings", path, "--query", "a", "--k", "1") == 0
+        finally:
+            cli.keep_freed_memory.cache_clear()
+        assert capsys.readouterr() == ("1,b,0.0\n", "")
+        assert calls == ([(-3, 32 << 20), (-1, 128 << 20)] if load == "mallopt fails" else [])
